@@ -311,8 +311,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let baseline = flatten_json(&baseline_text);
-    let mut current = flatten_json(&doc);
+    let baseline = match flatten_json(&baseline_text) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("cannot parse baseline {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut current = match flatten_json(&doc) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("cannot parse the current metrics document: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if inject {
         // Negative test: perturb one counter by 1 and one float past the
         // tolerance; the gate must catch both.

@@ -13,6 +13,8 @@
 
 use std::collections::BTreeMap;
 
+use sr::obs::json::{parse, Json, JsonError};
+
 /// Absolute tolerance for float-valued metrics (µs quantities and summary
 /// statistics). Counters compare exactly regardless.
 pub const FLOAT_TOL: f64 = 1e-6;
@@ -22,20 +24,32 @@ pub const FLOAT_TOL: f64 = 1e-6;
 /// Non-numeric leaves (strings, booleans, nulls) are ignored — the gate
 /// pins numbers only. Array elements get their index as a path component.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on malformed JSON — baselines are generated, never hand-edited,
-/// so a parse failure is itself a gate failure.
-pub fn flatten_json(text: &str) -> BTreeMap<String, f64> {
+/// The parse error of a malformed (e.g. truncated) document.
+pub fn flatten_json(text: &str) -> Result<BTreeMap<String, f64>, JsonError> {
     let mut out = BTreeMap::new();
-    let mut p = Parser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    p.value(String::new(), &mut out);
-    p.skip_ws();
-    assert_eq!(p.i, p.s.len(), "trailing garbage at byte {}", p.i);
-    out
+    flatten(&parse(text.as_bytes())?, String::new(), &mut out);
+    Ok(out)
+}
+
+fn flatten(value: &Json, path: String, out: &mut BTreeMap<String, f64>) {
+    match value {
+        Json::Num(n) => {
+            out.insert(path, *n);
+        }
+        Json::Obj(members) => {
+            for (key, v) in members {
+                flatten(v, format!("{path}.{key}"), out);
+            }
+        }
+        Json::Arr(items) => {
+            for (i, v) in items.iter().enumerate() {
+                flatten(v, format!("{path}.{i}"), out);
+            }
+        }
+        Json::Null | Json::Bool(_) | Json::Str(_) => {}
+    }
 }
 
 /// One gate violation, human-readable.
@@ -112,114 +126,6 @@ pub fn compare_metrics(
     v
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader over the shapes `metrics_json` and the gate emit:
-// objects, arrays, numbers, strings, true/false/null.
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn value(&mut self, path: String, out: &mut BTreeMap<String, f64>) {
-        self.skip_ws();
-        match self.s[self.i] {
-            b'{' => {
-                self.i += 1;
-                self.skip_ws();
-                if self.s[self.i] == b'}' {
-                    self.i += 1;
-                    return;
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string();
-                    self.skip_ws();
-                    assert_eq!(self.s[self.i], b':', "expected ':' at byte {}", self.i);
-                    self.i += 1;
-                    self.value(format!("{path}.{key}"), out);
-                    self.skip_ws();
-                    match self.s[self.i] {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return;
-                        }
-                        c => panic!("unexpected '{}' in object", c as char),
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                self.skip_ws();
-                if self.s[self.i] == b']' {
-                    self.i += 1;
-                    return;
-                }
-                let mut idx = 0usize;
-                loop {
-                    self.value(format!("{path}.{idx}"), out);
-                    idx += 1;
-                    self.skip_ws();
-                    match self.s[self.i] {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return;
-                        }
-                        c => panic!("unexpected '{}' in array", c as char),
-                    }
-                }
-            }
-            b'"' => {
-                let _ = self.string(); // non-numeric leaf: ignored
-            }
-            b't' => self.i += 4,
-            b'f' => self.i += 5,
-            b'n' => self.i += 4,
-            _ => {
-                let start = self.i;
-                while self.i < self.s.len()
-                    && matches!(
-                        self.s[self.i],
-                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                    )
-                {
-                    self.i += 1;
-                }
-                let n: f64 = std::str::from_utf8(&self.s[start..self.i])
-                    .unwrap()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad number at byte {start}"));
-                out.insert(path, n);
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        assert_eq!(self.s[self.i], b'"', "expected string at byte {}", self.i);
-        self.i += 1;
-        let start = self.i;
-        while self.s[self.i] != b'"' {
-            // metrics names never contain escapes; reject rather than
-            // silently mis-parse.
-            assert_ne!(self.s[self.i], b'\\', "escape in metrics key");
-            self.i += 1;
-        }
-        let s = std::str::from_utf8(&self.s[start..self.i]).unwrap().into();
-        self.i += 1;
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +137,11 @@ mod tests {
       "flag": true,
       "nothing": null
     }"#;
+
+    /// The well-formed documents below flatten without error.
+    fn flatten_json(text: &str) -> BTreeMap<String, f64> {
+        super::flatten_json(text).expect("well-formed test document")
+    }
 
     #[test]
     fn flatten_reaches_every_numeric_leaf() {
@@ -248,6 +159,13 @@ mod tests {
         assert_eq!(m[".a.0"], 1.0);
         assert_eq!(m[".a.1"], 2.5);
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn truncated_document_is_a_parse_error() {
+        for cut in [1, DOC.len() / 2, DOC.len() - 1] {
+            assert!(super::flatten_json(&DOC[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -598,10 +598,6 @@ pub fn scale_markdown(points: &[ScalePoint]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders the scale sweep as the `BENCH_scale.json` artifact (one document,
 /// hand-rolled like the metrics baseline — no serde in the workspace).
 pub fn scale_json(points: &[ScalePoint]) -> String {
@@ -609,13 +605,13 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
     for (i, p) in points.iter().enumerate() {
         let tail = match &p.outcome {
             Ok(u) => format!("\"ok\": true, \"peak_utilization\": {u}"),
-            Err(e) => format!("\"ok\": false, \"error\": \"{}\"", json_escape(e)),
+            Err(e) => format!("\"ok\": false, \"error\": \"{}\"", sr::obs::escape_json(e)),
         };
         out.push_str(&format!(
             "{}{{\"platform\": \"{}\", \"nodes\": {}, \"tasks\": {}, \"messages\": {}, \
              \"engine\": \"{}\", \"partition\": {}, \"compile_ms\": {}, \"verify_ms\": {}, {tail}}}",
             if i == 0 { "" } else { ",\n" },
-            json_escape(&p.platform),
+            sr::obs::escape_json(&p.platform),
             p.nodes,
             p.tasks,
             p.messages,

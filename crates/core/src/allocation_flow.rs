@@ -45,11 +45,10 @@
 //! `tests/proptests.rs`).
 //!
 //! Scratch memory (arc pool, adjacency, distance/potential arrays, heap)
-//! lives in a [`FlowWorkspace`] reused across the per-subset solves of one
-//! compile and across `repair()`/`sr-serve` admission ladders, mirroring
-//! `AllocBasisCache` on the simplex side. The workspace carries no
-//! semantic state between solves, so reuse is allocation-only and cannot
-//! perturb results.
+//! lives in a private per-thread workspace that every subset solve on that
+//! thread reuses. It carries no semantic state between solves (potentials
+//! are re-initialized per subset network), so how it is shared cannot
+//! perturb a result bit.
 //!
 //! # Exactness contract
 //!
@@ -65,14 +64,15 @@
 //! [`FlowAllocStats::fallbacks`]). Chains of length one — the dominant
 //! conflict pattern — cannot jump and never fall back.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use sr_tfg::{MessageId, TimeBounds};
 use sr_topology::LinkId;
 
-use crate::allocation_lp::{solve_subset_capacities, AllocationStats};
-use crate::{ActivityMatrix, CompileError, IntervalAllocation, Intervals, PathAssignment, EPS};
+use crate::allocation_lp::{solve_subset_lp, AllocationStats, SubsetRows};
+use crate::{ActivityMatrix, CompileError, PathAssignment, EPS};
 
 /// Residual-capacity tolerance for the augmenting search, far below the
 /// schedule-level [`EPS`].
@@ -117,6 +117,19 @@ pub struct FlowAllocStats {
     pub fallbacks: u64,
 }
 
+impl FlowAllocStats {
+    /// Adds `other`'s work to this one.
+    pub fn merge(&mut self, other: &FlowAllocStats) {
+        self.solves += other.solves;
+        self.nodes += other.nodes;
+        self.arcs += other.arcs;
+        self.augmentations += other.augmentations;
+        self.dijkstra_pops += other.dijkstra_pops;
+        self.potential_reuse_hits += other.potential_reuse_hits;
+        self.fallbacks += other.fallbacks;
+    }
+}
+
 /// One forward arc of the residual network; its reverse twin sits at
 /// `index ^ 1`.
 #[derive(Debug)]
@@ -126,16 +139,17 @@ struct Arc {
     cost: f64,
 }
 
-/// Reusable scratch for the min-cost-flow kernel: the arc pool, adjacency
-/// lists, distance/potential/predecessor arrays, the Dijkstra heap, and
-/// the extraction queue. Create one per compile ladder (or hold one per
-/// tenant/repair session) and pass it to every flow allocation — buffers
-/// are recycled across subset solves, so steady-state solves allocate
-/// nothing. The workspace carries no semantic state between solves
-/// (potentials are re-initialized per subset network); reuse is purely an
-/// allocation cache and cannot change any result bit.
+thread_local! {
+    /// This thread's kernel scratch, recycled by every subset solve it runs.
+    pub(crate) static SCRATCH: RefCell<FlowWorkspace> = RefCell::default();
+}
+
+/// Scratch for the min-cost-flow kernel: the arc pool, adjacency lists,
+/// distance/potential/predecessor arrays, the Dijkstra heap, and the
+/// extraction queue. Buffers are recycled across subset solves; nothing
+/// semantic survives a reset.
 #[derive(Debug, Default)]
-pub struct FlowWorkspace {
+pub(crate) struct FlowWorkspace {
     arcs: Vec<Arc>,
     /// Adjacency lists; only the first `nodes` entries are live. Entries
     /// beyond the live prefix are empty (cleared on reset), so growing
@@ -151,12 +165,6 @@ pub struct FlowWorkspace {
 }
 
 impl FlowWorkspace {
-    /// An empty workspace; buffers grow to the largest subset network
-    /// solved through it and are then reused.
-    pub fn new() -> Self {
-        FlowWorkspace::default()
-    }
-
     /// Clears the network back to `nodes` isolated nodes, keeping every
     /// buffer's capacity.
     fn reset_net(&mut self, nodes: usize) {
@@ -402,196 +410,13 @@ impl FlowWorkspace {
     }
 }
 
-/// Solves the message–interval allocation with the flow backend: same
-/// inputs, same feasibility verdict, and the same constraint guarantees as
-/// [`crate::allocate_intervals`], but each subset is solved as a
-/// min-cost-flow network instead of an LP (falling back to the simplex for
-/// the rare subset where the relaxation is loose — see the module docs).
-///
-/// `ws` is the reusable kernel scratch — pass the same workspace across
-/// the solves of one compile ladder to amortize its buffers. `lp_stats`
-/// accumulates the work of any fallback solves so the compile pipeline's
-/// `alloc_lp.*` counters stay meaningful under this engine.
-///
-/// # Errors
-///
-/// [`CompileError::AllocationInfeasible`] when a subset has no feasible
-/// split (the flow verdict is exact); [`CompileError::Lp`] on fallback
-/// solver trouble.
+/// Solves one subset as a min-cost-flow network under `capacity` (the
+/// driver's residual (link, interval) budgets): the subset's nonzero
+/// entries, with the same feasibility verdict and constraint guarantees as
+/// [`solve_subset_lp`], falling back to it where the relaxation is loose
+/// (see the module docs).
 #[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_flow(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    capacity_scale: f64,
-    ws: &mut FlowWorkspace,
-    stats: &mut FlowAllocStats,
-    lp_stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    allocate_intervals_flow_with_kernel(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        capacity_scale,
-        FlowKernel::SspDijkstra,
-        ws,
-        stats,
-        lp_stats,
-    )
-}
-
-/// [`allocate_intervals_flow`] with an explicit kernel choice — the entry
-/// point the differential tests use to pit the production Dijkstra kernel
-/// against the Bellman–Ford oracle on identical inputs.
-///
-/// # Errors
-///
-/// As [`allocate_intervals_flow`].
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_flow_with_kernel(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    capacity_scale: f64,
-    kernel: FlowKernel,
-    ws: &mut FlowWorkspace,
-    stats: &mut FlowAllocStats,
-    lp_stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
-    for subset in subsets {
-        solve_subset_flow(
-            assignment,
-            bounds,
-            activity,
-            subset,
-            |_, k| capacity_scale * intervals.length(k),
-            kernel,
-            ws,
-            &mut p,
-            stats,
-            lp_stats,
-        )?;
-    }
-    Ok(IntervalAllocation::from_matrix(p))
-}
-
-/// Flow-backend counterpart of
-/// [`crate::allocation_lp::allocate_intervals_pinned_reserved`]: re-derives
-/// only the `affected` rows, with every other row pinned bit-identically
-/// and charged — together with the `reserved` external capacity — against
-/// each (link, interval) budget. This is the allocation step of the
-/// repack/admission ladders under `AllocEngine::Flow`; `ws` should be the
-/// session-held workspace so repeated repairs/admissions reuse its
-/// buffers.
-///
-/// # Errors
-///
-/// As [`allocate_intervals_flow`].
-///
-/// # Panics
-///
-/// If `pinned` does not match the assignment, or a `reserved` row's length
-/// is not `intervals.len()`.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_pinned_reserved_flow(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    affected: &[MessageId],
-    pinned: &IntervalAllocation,
-    reserved: &std::collections::HashMap<LinkId, Vec<f64>>,
-    capacity_scale: f64,
-    ws: &mut FlowWorkspace,
-    stats: &mut FlowAllocStats,
-    lp_stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    assert_eq!(
-        pinned.num_messages(),
-        assignment.len(),
-        "pinned allocation does not match the assignment"
-    );
-    for row in reserved.values() {
-        assert_eq!(
-            row.len(),
-            intervals.len(),
-            "external reservation row does not cover every interval"
-        );
-    }
-    let is_affected: Vec<bool> = {
-        let mut v = vec![false; assignment.len()];
-        for &m in affected {
-            v[m.index()] = true;
-        }
-        v
-    };
-
-    // Start from the pinned matrix; blank what must be re-derived
-    // (affected rows) or cannot carry traffic (link-less rows).
-    let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
-    for i in 0..assignment.len() {
-        if !is_affected[i] && !assignment.links(MessageId(i)).is_empty() {
-            p[i].clone_from_slice(pinned.row(MessageId(i)));
-        }
-    }
-
-    // Capacity already consumed by pinned traffic, per link per interval.
-    let mut pinned_used: std::collections::HashMap<LinkId, Vec<f64>> =
-        std::collections::HashMap::new();
-    for i in 0..assignment.len() {
-        let m = MessageId(i);
-        if is_affected[i] {
-            continue;
-        }
-        for &l in assignment.links(m) {
-            let row = pinned_used
-                .entry(l)
-                .or_insert_with(|| vec![0.0; intervals.len()]);
-            for (k, r) in row.iter_mut().enumerate() {
-                *r += p[i][k];
-            }
-        }
-    }
-
-    for subset in subsets {
-        let members: Vec<MessageId> = subset
-            .iter()
-            .copied()
-            .filter(|m| is_affected[m.index()])
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        solve_subset_flow(
-            assignment,
-            bounds,
-            activity,
-            &members,
-            |link, k| {
-                let used = pinned_used.get(&link).map_or(0.0, |r| r[k])
-                    + reserved.get(&link).map_or(0.0, |r| r[k]);
-                (capacity_scale * intervals.length(k) - used).max(0.0)
-            },
-            FlowKernel::SspDijkstra,
-            ws,
-            &mut p,
-            stats,
-            lp_stats,
-        )?;
-    }
-    Ok(IntervalAllocation::from_matrix(p))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_subset_flow<C>(
+pub(crate) fn solve_subset_flow<C>(
     assignment: &PathAssignment,
     bounds: &TimeBounds,
     activity: &ActivityMatrix,
@@ -599,19 +424,15 @@ fn solve_subset_flow<C>(
     capacity: C,
     kernel: FlowKernel,
     ws: &mut FlowWorkspace,
-    p: &mut [Vec<f64>],
-    stats: &mut FlowAllocStats,
-    lp_stats: &mut AllocationStats,
-) -> Result<(), CompileError>
+    stats: &mut AllocationStats,
+) -> Result<SubsetRows, CompileError>
 where
     C: Fn(LinkId, usize) -> f64,
 {
     // A member without links cannot be expressed as a chain; related
     // subsets never contain one, but stay safe and defer to the LP.
     if subset.iter().any(|&m| assignment.links(m).is_empty()) {
-        return solve_fallback(
-            assignment, bounds, activity, subset, &capacity, p, stats, lp_stats,
-        );
+        return solve_fallback(assignment, bounds, activity, subset, &capacity, stats);
     }
 
     let actives: Vec<Vec<usize>> = subset
@@ -683,10 +504,10 @@ where
         }
     }
 
-    stats.solves += 1;
-    stats.nodes += ws.nodes as u64;
-    stats.arcs += (ws.arcs.len() / 2) as u64;
-    let value = ws.max_flow_min_cost(source, sink, kernel, stats);
+    stats.flow.solves += 1;
+    stats.flow.nodes += ws.nodes as u64;
+    stats.flow.arcs += (ws.arcs.len() / 2) as u64;
+    let value = ws.max_flow_min_cost(source, sink, kernel, &mut stats.flow);
     if value < total - EPS {
         // Exact verdict: an LP-feasible split always induces a full flow.
         return Err(CompileError::AllocationInfeasible {
@@ -735,45 +556,43 @@ where
         })
     });
     if !exact {
-        return solve_fallback(
-            assignment, bounds, activity, subset, &capacity, p, stats, lp_stats,
-        );
+        return solve_fallback(assignment, bounds, activity, subset, &capacity, stats);
     }
 
+    let mut rows = SubsetRows::new();
     for (mi, &m) in subset.iter().enumerate() {
         for (pos, &k) in actives[mi].iter().enumerate() {
             if x[mi][pos] > EPS {
-                p[m.index()][k] = x[mi][pos];
+                rows.push((m, k, x[mi][pos]));
             }
         }
     }
-    Ok(())
+    Ok(rows)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn solve_fallback<C>(
     assignment: &PathAssignment,
     bounds: &TimeBounds,
     activity: &ActivityMatrix,
     subset: &[MessageId],
     capacity: &C,
-    p: &mut [Vec<f64>],
-    stats: &mut FlowAllocStats,
-    lp_stats: &mut AllocationStats,
-) -> Result<(), CompileError>
+    stats: &mut AllocationStats,
+) -> Result<SubsetRows, CompileError>
 where
     C: Fn(LinkId, usize) -> f64,
 {
-    stats.fallbacks += 1;
-    solve_subset_capacities(
-        assignment, bounds, activity, subset, capacity, p, None, lp_stats,
-    )
+    stats.flow.fallbacks += 1;
+    solve_subset_lp(assignment, bounds, activity, subset, capacity, None, stats)
+        .map(|(rows, _)| rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{allocate_intervals, related_subsets};
+    use crate::{
+        allocate_intervals, related_subsets, IntervalAllocation, Intervals, PinnedRows,
+        SubsetSolver,
+    };
     use sr_mapping::Allocation;
     use sr_tfg::{assign_time_bounds, TfgBuilder, Timing, WindowPolicy};
     use sr_topology::{GeneralizedHypercube, NodeId};
@@ -812,15 +631,10 @@ mod tests {
     }
 
     fn flow_alloc(f: &Fixture, scale: f64) -> Result<IntervalAllocation, CompileError> {
-        allocate_intervals_flow(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
+        kernel_alloc(
+            f,
             scale,
-            &mut FlowWorkspace::new(),
-            &mut FlowAllocStats::default(),
+            FlowKernel::SspDijkstra,
             &mut AllocationStats::default(),
         )
     }
@@ -829,19 +643,33 @@ mod tests {
         f: &Fixture,
         scale: f64,
         kernel: FlowKernel,
-        ws: &mut FlowWorkspace,
-        stats: &mut FlowAllocStats,
+        stats: &mut AllocationStats,
     ) -> Result<IntervalAllocation, CompileError> {
-        allocate_intervals_flow_with_kernel(
+        allocate_intervals(
             &f.assignment,
             &f.bounds,
             &f.activity,
             &f.intervals,
             &f.subsets,
             scale,
-            kernel,
-            ws,
+            None,
+            SubsetSolver::Flow(kernel),
+            1,
             stats,
+        )
+    }
+
+    fn lp_alloc(f: &Fixture, scale: f64) -> Result<IntervalAllocation, CompileError> {
+        allocate_intervals(
+            &f.assignment,
+            &f.bounds,
+            &f.activity,
+            &f.intervals,
+            &f.subsets,
+            scale,
+            None,
+            SubsetSolver::Simplex(None),
+            1,
             &mut AllocationStats::default(),
         )
     }
@@ -880,15 +708,7 @@ mod tests {
         let flow = flow_alloc(&f, 1.0).unwrap();
         check_constraints(&f, &flow, 1.0);
         // Simplex agrees on feasibility.
-        assert!(allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0
-        )
-        .is_ok());
+        assert!(lp_alloc(&f, 1.0).is_ok());
     }
 
     #[test]
@@ -896,15 +716,7 @@ mod tests {
         let f = shared_link(50.0, 1920); // 30+30 µs over a 50 µs frame
         let err = flow_alloc(&f, 1.0).unwrap_err();
         assert!(matches!(err, CompileError::AllocationInfeasible { .. }));
-        assert!(allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0
-        )
-        .is_err());
+        assert!(lp_alloc(&f, 1.0).is_err());
     }
 
     #[test]
@@ -925,19 +737,9 @@ mod tests {
     #[test]
     fn stats_count_network_work() {
         let f = shared_link(50.0, 640);
-        let mut stats = FlowAllocStats::default();
-        allocate_intervals_flow(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0,
-            &mut FlowWorkspace::new(),
-            &mut stats,
-            &mut AllocationStats::default(),
-        )
-        .unwrap();
+        let mut all = AllocationStats::default();
+        kernel_alloc(&f, 1.0, FlowKernel::SspDijkstra, &mut all).unwrap();
+        let stats = all.flow;
         assert!(stats.solves >= 1);
         assert!(stats.arcs > 0);
         assert!(stats.augmentations > 0);
@@ -949,24 +751,10 @@ mod tests {
     fn dijkstra_matches_bellman_ford_oracle_bitwise() {
         for (period, bytes) in [(50.0, 640), (120.0, 640), (50.0, 1280), (90.0, 960)] {
             let f = shared_link(period, bytes);
-            let mut dk = FlowAllocStats::default();
-            let mut bf = FlowAllocStats::default();
-            let a = kernel_alloc(
-                &f,
-                1.0,
-                FlowKernel::SspDijkstra,
-                &mut FlowWorkspace::new(),
-                &mut dk,
-            )
-            .unwrap();
-            let b = kernel_alloc(
-                &f,
-                1.0,
-                FlowKernel::BellmanFordOracle,
-                &mut FlowWorkspace::new(),
-                &mut bf,
-            )
-            .unwrap();
+            let (mut dk, mut bf) = (AllocationStats::default(), AllocationStats::default());
+            let a = kernel_alloc(&f, 1.0, FlowKernel::SspDijkstra, &mut dk).unwrap();
+            let b = kernel_alloc(&f, 1.0, FlowKernel::BellmanFordOracle, &mut bf).unwrap();
+            let (dk, bf) = (dk.flow, bf.flow);
             for m in 0..f.assignment.len() {
                 for k in 0..f.intervals.len() {
                     let (x, y) = (a.allocated(MessageId(m), k), b.allocated(MessageId(m), k));
@@ -987,71 +775,65 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_bit_stable() {
-        // Same workspace across repeated solves (the ladder pattern) must
-        // give the same bits as a fresh workspace each time.
+        // One workspace across repeated subset solves (the serial driver's
+        // pattern) must give the same bits as a fresh workspace each time.
         let f = shared_link(120.0, 640);
-        let mut shared = FlowWorkspace::new();
-        let mut stats = FlowAllocStats::default();
-        let fresh = kernel_alloc(
-            &f,
-            1.0,
-            FlowKernel::SspDijkstra,
-            &mut FlowWorkspace::new(),
-            &mut FlowAllocStats::default(),
-        )
-        .unwrap();
+        let solve_all = |ws: &mut FlowWorkspace| -> Vec<(MessageId, usize, u64)> {
+            f.subsets
+                .iter()
+                .flat_map(|subset| {
+                    solve_subset_flow(
+                        &f.assignment,
+                        &f.bounds,
+                        &f.activity,
+                        subset,
+                        |_, k| f.intervals.length(k),
+                        FlowKernel::SspDijkstra,
+                        ws,
+                        &mut AllocationStats::default(),
+                    )
+                    .unwrap()
+                })
+                .map(|(m, k, v)| (m, k, v.to_bits()))
+                .collect()
+        };
+        let fresh = solve_all(&mut FlowWorkspace::default());
+        let mut shared = FlowWorkspace::default();
         for _ in 0..3 {
-            let again =
-                kernel_alloc(&f, 1.0, FlowKernel::SspDijkstra, &mut shared, &mut stats).unwrap();
-            for m in 0..f.assignment.len() {
-                for k in 0..f.intervals.len() {
-                    assert_eq!(
-                        again.allocated(MessageId(m), k).to_bits(),
-                        fresh.allocated(MessageId(m), k).to_bits()
-                    );
-                }
-            }
+            assert_eq!(solve_all(&mut shared), fresh);
         }
     }
 
     #[test]
     fn pinned_reserved_flow_matches_simplex_pinned() {
-        use crate::allocation_lp::allocate_intervals_pinned_reserved;
         let f = shared_link(120.0, 640);
         let full = flow_alloc(&f, 1.0).unwrap();
         // Re-derive only m1 with m0 pinned; both backends must agree the
         // residual problem is feasible and respect the pinned rows.
         let affected = vec![MessageId(1)];
         let reserved = std::collections::HashMap::new();
-        let by_flow = allocate_intervals_pinned_reserved_flow(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            &affected,
-            &full,
-            &reserved,
-            1.0,
-            &mut FlowWorkspace::new(),
-            &mut FlowAllocStats::default(),
-            &mut AllocationStats::default(),
-        )
-        .unwrap();
-        let by_lp = allocate_intervals_pinned_reserved(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            &affected,
-            &full,
-            &reserved,
-            1.0,
-            None,
-            &mut AllocationStats::default(),
-        )
-        .unwrap();
+        let pinned = PinnedRows {
+            affected: &affected,
+            allocation: &full,
+            reserved: &reserved,
+        };
+        let pinned_alloc = |solver: SubsetSolver<'_>| {
+            allocate_intervals(
+                &f.assignment,
+                &f.bounds,
+                &f.activity,
+                &f.intervals,
+                &f.subsets,
+                1.0,
+                Some(&pinned),
+                solver,
+                1,
+                &mut AllocationStats::default(),
+            )
+            .unwrap()
+        };
+        let by_flow = pinned_alloc(SubsetSolver::Flow(FlowKernel::SspDijkstra));
+        let by_lp = pinned_alloc(SubsetSolver::Simplex(None));
         check_constraints(&f, &by_flow, 1.0);
         // Pinned rows survive bit-identically under both backends.
         for k in 0..f.intervals.len() {

@@ -1,24 +1,46 @@
+use std::borrow::Cow;
+use std::collections::HashMap;
+
 use sr_lp::{Basis, LpError, Problem, Relation, SolveStats, VarId};
 use sr_tfg::{MessageId, TimeBounds};
 use sr_topology::LinkId;
 
-use crate::{ActivityMatrix, CompileError, Intervals, PathAssignment, EPS};
+use crate::allocation_flow::{solve_subset_flow, SCRATCH};
+use crate::{
+    ActivityMatrix, AllocEngine, CompileError, FlowAllocStats, FlowKernel, Intervals,
+    PathAssignment, EPS,
+};
 
-/// Work statistics from one [`allocate_intervals_stats`] pass: how much
-/// LP machinery the message–interval allocation stage ground through.
+/// Work statistics from one [`allocate_intervals`] pass: how much LP and
+/// flow machinery the message–interval allocation stage ground through.
 ///
 /// Exact operation counts — deterministic for fixed inputs, so the compile
 /// pipeline can report them independently of its thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocationStats {
-    /// Simplex work summed over every subset LP.
+    /// Simplex work summed over every subset LP (including flow
+    /// fallbacks).
     pub lp: SolveStats,
-    /// Subset LPs solved (one per maximal related subset).
+    /// Subset LPs solved.
     pub lp_solves: u64,
     /// LP variables created across all subset LPs.
     pub vars: u64,
     /// LP constraints created across all subset LPs.
     pub constraints: u64,
+    /// Min-cost-flow work under [`SubsetSolver::Flow`] (zero under the
+    /// simplex).
+    pub flow: FlowAllocStats,
+}
+
+impl AllocationStats {
+    /// Adds `other`'s work to this one.
+    pub fn merge(&mut self, other: &AllocationStats) {
+        self.lp.merge(&other.lp);
+        self.lp_solves += other.lp_solves;
+        self.vars += other.vars;
+        self.constraints += other.constraints;
+        self.flow.merge(&other.flow);
+    }
 }
 
 /// Warm-start bases for the allocation subset LPs, keyed by subset
@@ -48,11 +70,15 @@ impl AllocBasisCache {
         self.bases.iter().filter(|b| b.is_some()).count()
     }
 
-    fn slot(&mut self, si: usize) -> &mut Option<Basis> {
+    fn get(&self, si: usize) -> Option<&Basis> {
+        self.bases.get(si).and_then(Option::as_ref)
+    }
+
+    fn set(&mut self, si: usize, basis: Option<Basis>) {
         if self.bases.len() <= si {
             self.bases.resize(si + 1, None);
         }
-        &mut self.bases[si]
+        self.bases[si] = basis;
     }
 }
 
@@ -104,25 +130,95 @@ impl IntervalAllocation {
     }
 }
 
+/// Rows of an existing allocation held fixed while [`allocate_intervals`]
+/// re-derives the rest — the allocation stage of fault repair and of
+/// multi-tenant admission.
+#[derive(Debug, Clone, Copy)]
+pub struct PinnedRows<'a> {
+    /// Messages whose rows are re-derived. Every other row with links is
+    /// copied from `allocation` bit-identically and charged against the
+    /// capacity; link-less rows (local messages, dropped/demoted messages
+    /// encoded with trivial paths) are zeroed.
+    pub affected: &'a [MessageId],
+    /// The matrix the pinned rows come from; one row per message of the
+    /// assignment.
+    pub allocation: &'a IntervalAllocation,
+    /// External reservations: `reserved[link][k]` µs of interval `k` on
+    /// `link` belong to traffic outside this problem (other tenants'
+    /// schedules folded onto this grid). One value per interval; absent
+    /// links reserve nothing.
+    pub reserved: &'a HashMap<LinkId, Vec<f64>>,
+}
+
+/// How [`allocate_intervals`] solves each maximal related subset.
+#[derive(Debug)]
+pub enum SubsetSolver<'a> {
+    /// One LP per subset on the sparse revised simplex. With a cache, each
+    /// subset LP warm-starts from the basis at its subset position and
+    /// deposits its new optimal basis back — along a capacity-scale ladder
+    /// that skips phase 1 whenever the previous scale's split still fits.
+    /// The feasibility verdict is the cold one, but a warm solve may land
+    /// on a different optimal vertex, so callers that promise
+    /// cold-identical rows re-derive them without a cache (see
+    /// `CompileConfig::warm_start`).
+    Simplex(Option<&'a mut AllocBasisCache>),
+    /// One time-expanded min-cost-flow network per subset, solved by
+    /// successive shortest paths, falling back to a cold LP where the
+    /// relaxation is loose.
+    Flow(FlowKernel),
+}
+
+impl<'a> SubsetSolver<'a> {
+    /// The production solver for `engine`; `cache` only serves the
+    /// simplex.
+    pub(crate) fn for_engine(engine: AllocEngine, cache: Option<&'a mut AllocBasisCache>) -> Self {
+        match engine {
+            AllocEngine::Simplex => SubsetSolver::Simplex(cache),
+            AllocEngine::Flow => SubsetSolver::Flow(FlowKernel::SspDijkstra),
+        }
+    }
+}
+
+/// Nonzero entries `(message, interval, µs)` of one solved subset.
+pub(crate) type SubsetRows = Vec<(MessageId, usize, f64)>;
+
 /// Solves the **message–interval allocation** problem (paper §5.2,
-/// constraints (3) and (4)), one LP per maximal related subset.
+/// constraints (3) and (4)), one small problem per maximal related subset.
 ///
 /// For every message `M_i` of a subset and every interval `A_k` it is active
-/// in, a variable `x_ik ≥ 0` gives its transmission time in that interval:
+/// in, `x_ik ≥ 0` is its transmission time in that interval:
 ///
 /// * constraint (3): `Σ_k x_ik = duration(M_i)` — the whole message is sent;
 /// * constraint (4): for every link and interval,
-///   `Σ_{messages on the link} x_ik ≤ capacity_scale · |A_k|` — no link is
-///   oversubscribed in any interval.
+///   `Σ_{messages on the link} x_ik ≤ (capacity_scale · |A_k| − used_lk)⁺`
+///   — no link is oversubscribed in any interval, where `used_lk` is what
+///   the `pinned` rows and their external reservations already occupy.
 ///
-/// `capacity_scale` is normally 1; the compile pipeline lowers it as
-/// *feedback* (the paper's §7 suggestion) when interval scheduling
+/// A fresh compile is the call with nothing pinned: `used` is empty, and
+/// `(s·|A_k| − 0)⁺` is exactly `s·|A_k|`. With `pinned`, only subsets
+/// holding an affected message are solved, restricted to their affected
+/// members. `capacity_scale` is normally 1; the compile pipeline lowers it
+/// as *feedback* (the paper's §7 suggestion) when interval scheduling
 /// subsequently fails, trading slack for schedulability.
+///
+/// With `workers > 1` the subsets are solved concurrently via
+/// [`sr_par::par_map`]; otherwise serially, stopping at the first failure.
+/// Maximal related subsets never share a link during a common interval, so
+/// the solves are independent, and rows, `stats`, and cache updates are
+/// folded in subset order up to and including the first failing subset —
+/// the result is identical at any worker count.
 ///
 /// # Errors
 ///
-/// [`CompileError::AllocationInfeasible`] when a subset has no feasible
-/// split; [`CompileError::Lp`] on solver trouble.
+/// [`CompileError::AllocationInfeasible`] naming the first subset (its
+/// affected members) with no feasible split; [`CompileError::Lp`] on
+/// solver trouble. `stats` covers the work up to the failure.
+///
+/// # Panics
+///
+/// If `pinned` rows do not match the assignment, or a reservation row's
+/// length is not `intervals.len()`.
+#[allow(clippy::too_many_arguments)]
 pub fn allocate_intervals(
     assignment: &PathAssignment,
     bounds: &TimeBounds,
@@ -130,442 +226,129 @@ pub fn allocate_intervals(
     intervals: &Intervals,
     subsets: &[Vec<MessageId>],
     capacity_scale: f64,
-) -> Result<IntervalAllocation, CompileError> {
-    allocate_intervals_stats(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        capacity_scale,
-        &mut AllocationStats::default(),
-    )
-}
-
-/// [`allocate_intervals`] that also accumulates LP work counters into
-/// `stats` (identical allocation either way).
-///
-/// # Errors
-///
-/// As [`allocate_intervals`]. `stats` reflects the work done up to a
-/// failure too.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_stats(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    capacity_scale: f64,
+    pinned: Option<&PinnedRows<'_>>,
+    solver: SubsetSolver<'_>,
+    workers: usize,
     stats: &mut AllocationStats,
 ) -> Result<IntervalAllocation, CompileError> {
     let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
-
-    for subset in subsets {
-        solve_subset_capacities(
-            assignment,
-            bounds,
-            activity,
-            subset,
-            |_, k| capacity_scale * intervals.length(k),
-            &mut p,
-            None,
-            stats,
-        )?;
-    }
-    Ok(IntervalAllocation { p })
-}
-
-/// [`allocate_intervals_stats`] with warm-started subset LPs.
-///
-/// Each subset LP warm-starts from the basis stored in `cache` at its
-/// subset position and deposits its own optimal basis back, so a caller
-/// walking a capacity-scale ladder (same assignment and subsets, shrinking
-/// capacities) skips phase 1 whenever the previous scale's split still fits
-/// — for these zero-objective feasibility systems that is the entire solve.
-///
-/// The *feasibility verdict* is identical to the cold path (it is a
-/// property of the LP, not the start point), but a warm solve may land on a
-/// different optimal vertex than a cold one, so the allocation matrix can
-/// differ. Callers that promise cold-identical output (the compile walk's
-/// accepted candidate) must re-derive it cold — see
-/// `CompileConfig::warm_start`.
-///
-/// # Errors
-///
-/// As [`allocate_intervals`].
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_warm(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    capacity_scale: f64,
-    cache: &mut AllocBasisCache,
-    stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
-
-    for (si, subset) in subsets.iter().enumerate() {
-        solve_subset_capacities(
-            assignment,
-            bounds,
-            activity,
-            subset,
-            |_, k| capacity_scale * intervals.length(k),
-            &mut p,
-            Some(cache.slot(si)),
-            stats,
-        )?;
-    }
-    Ok(IntervalAllocation { p })
-}
-
-/// Re-solves the message–interval allocation for `affected` messages only,
-/// treating every other message's existing allocation as **pinned**: their
-/// rows are copied from `pinned` bit-identically, and their per-link
-/// per-interval usage is subtracted from the capacity available to the LP
-/// (constraint (4) becomes `Σ x_ik ≤ capacity_scale·|A_k| − reserved_lk`).
-///
-/// This is the allocation stage of incremental repair: after `AssignPaths`
-/// re-routes the affected messages over the masked topology, only their
-/// rows are re-derived — the unaffected traffic keeps its exact split, so
-/// downstream slices and Ω entries for it never move.
-///
-/// Rows of messages whose (possibly updated) path assignment has no links —
-/// local messages, and dropped/demoted messages encoded with trivial paths —
-/// are zeroed rather than pinned: they carry no network traffic.
-///
-/// `subsets` must be the maximal related subsets of the *new* `assignment`;
-/// subsets containing no affected message are skipped (their members are
-/// pinned anyway).
-///
-/// # Errors
-///
-/// [`CompileError::AllocationInfeasible`] when some affected message cannot
-/// fit in the capacity left by the pinned traffic; [`CompileError::Lp`] on
-/// solver trouble.
-///
-/// # Panics
-///
-/// Panics if `pinned` has a different message count than `assignment`.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_pinned(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    affected: &[MessageId],
-    pinned: &IntervalAllocation,
-    capacity_scale: f64,
-) -> Result<IntervalAllocation, CompileError> {
-    allocate_intervals_pinned_impl(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        affected,
-        pinned,
-        None,
-        capacity_scale,
-        None,
-        &mut AllocationStats::default(),
-    )
-}
-
-/// [`allocate_intervals_pinned`] with warm-started subset LPs and work
-/// counters — the repair ladder's variant.
-///
-/// `sr-fault::repair` walks the same affected-message allocation across a
-/// shrinking capacity-scale ladder; the subset LPs differ only in their
-/// residual capacities (pinned traffic folded into the right-hand side), so
-/// the previous rung's bases warm-start the next. Same verdicts as the cold
-/// path; the affected rows' split may sit on a different optimal vertex.
-///
-/// # Errors
-///
-/// As [`allocate_intervals_pinned`].
-///
-/// # Panics
-///
-/// As [`allocate_intervals_pinned`].
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_pinned_warm(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    affected: &[MessageId],
-    pinned: &IntervalAllocation,
-    capacity_scale: f64,
-    cache: &mut AllocBasisCache,
-    stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    allocate_intervals_pinned_impl(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        affected,
-        pinned,
-        None,
-        capacity_scale,
-        Some(cache),
-        stats,
-    )
-}
-
-/// [`allocate_intervals_pinned_warm`] with **external reservations**: on top
-/// of the capacity consumed by the pinned rows, `reserved[link][k]` µs of
-/// interval `k` on `link` are unavailable to the LP (clamped at zero). This
-/// is the multi-tenant admission variant — the reservations describe
-/// traffic that lives *outside* this allocation problem entirely (other
-/// tenants' schedules folded onto this tenant's interval grid), where the
-/// pinned path describes rows of the *same* matrix.
-///
-/// Entries of `reserved` must have one value per interval; links absent
-/// from the map reserve nothing. `cache` is optional: `Some` warm-starts
-/// the subset LPs exactly like [`allocate_intervals_pinned_warm`].
-///
-/// # Errors
-///
-/// As [`allocate_intervals_pinned`].
-///
-/// # Panics
-///
-/// As [`allocate_intervals_pinned`], and if a `reserved` row's length is
-/// not `intervals.len()`.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_pinned_reserved(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    affected: &[MessageId],
-    pinned: &IntervalAllocation,
-    reserved: &std::collections::HashMap<LinkId, Vec<f64>>,
-    capacity_scale: f64,
-    cache: Option<&mut AllocBasisCache>,
-    stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    for row in reserved.values() {
+    // Capacity already consumed per (link, interval): pinned rows in
+    // message order, then external reservations.
+    let mut used: HashMap<LinkId, Vec<f64>> = HashMap::new();
+    let mut is_affected = Vec::new();
+    if let Some(pin) = pinned {
         assert_eq!(
-            row.len(),
-            intervals.len(),
-            "external reservation row does not cover every interval"
+            pin.allocation.num_messages(),
+            assignment.len(),
+            "pinned allocation does not match the assignment"
         );
-    }
-    allocate_intervals_pinned_impl(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        affected,
-        pinned,
-        Some(reserved),
-        capacity_scale,
-        cache,
-        stats,
-    )
-}
-
-/// Partitioned message–interval allocation for large fabrics: subsets whose
-/// members' paths stay inside one node partition (`part_of[node] = part`)
-/// are solved concurrently via [`sr_par::par_map`], then the remaining
-/// **boundary** subsets are solved serially with every interior row pinned
-/// ([`allocate_intervals_pinned`]'s residual-capacity pass).
-///
-/// Maximal related subsets never couple through a `(link, interval)` pair,
-/// so the parallel interior solves and the pinned boundary pass produce the
-/// same rows — and the same feasibility verdict — as the serial
-/// [`allocate_intervals`]; only the wall-clock changes. The result and the
-/// `stats` counters are deterministic and independent of `threads` (each
-/// subset's LP is solved exactly once, and counters are folded in subset
-/// order).
-///
-/// # Errors
-///
-/// As [`allocate_intervals`]. With several infeasible subsets the smallest
-/// *interior* subset index wins (boundary subsets are only reached when
-/// every interior one is feasible), which can differ from the serial
-/// walk's report; the feasibility verdict itself is always identical.
-///
-/// # Panics
-///
-/// Panics if `part_of` does not cover every node on some member's path.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_intervals_partitioned(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    capacity_scale: f64,
-    part_of: &[usize],
-    threads: usize,
-    stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    // A subset is interior when every node of every member's path sits in
-    // one part; anything else is boundary traffic.
-    let subset_part = |subset: &[MessageId]| -> Option<usize> {
-        let first = subset.first()?;
-        let home = part_of[assignment.path(*first).source().index()];
-        subset
-            .iter()
-            .all(|&m| {
-                assignment
-                    .path(m)
-                    .nodes()
-                    .iter()
-                    .all(|n| part_of[n.index()] == home)
-            })
-            .then_some(home)
-    };
-    let interior: Vec<usize> = (0..subsets.len())
-        .filter(|&si| subset_part(&subsets[si]).is_some())
-        .collect();
-
-    let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
-    let solved = sr_par::par_map(&interior, threads, |&si| {
-        let mut local = vec![vec![0.0; intervals.len()]; assignment.len()];
-        let mut local_stats = AllocationStats::default();
-        solve_subset_capacities(
-            assignment,
-            bounds,
-            activity,
-            &subsets[si],
-            |_, k| capacity_scale * intervals.length(k),
-            &mut local,
-            None,
-            &mut local_stats,
-        )
-        .map(|()| {
-            let rows: Vec<(usize, Vec<f64>)> = subsets[si]
-                .iter()
-                .map(|&m| (m.index(), std::mem::take(&mut local[m.index()])))
-                .collect();
-            (rows, local_stats)
-        })
-    });
-    for result in solved {
-        let (rows, local_stats) = result?;
-        for (mi, row) in rows {
-            p[mi] = row;
+        is_affected = vec![false; assignment.len()];
+        for &m in pin.affected {
+            is_affected[m.index()] = true;
         }
-        stats.lp.merge(&local_stats.lp);
-        stats.lp_solves += local_stats.lp_solves;
-        stats.vars += local_stats.vars;
-        stats.constraints += local_stats.constraints;
-    }
-
-    let boundary: Vec<MessageId> = (0..subsets.len())
-        .filter(|&si| subset_part(&subsets[si]).is_none())
-        .flat_map(|si| subsets[si].iter().copied())
-        .collect();
-    if boundary.is_empty() {
-        return Ok(IntervalAllocation { p });
-    }
-    allocate_intervals_pinned_impl(
-        assignment,
-        bounds,
-        activity,
-        intervals,
-        subsets,
-        &boundary,
-        &IntervalAllocation { p },
-        None,
-        capacity_scale,
-        None,
-        stats,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn allocate_intervals_pinned_impl(
-    assignment: &PathAssignment,
-    bounds: &TimeBounds,
-    activity: &ActivityMatrix,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    affected: &[MessageId],
-    pinned: &IntervalAllocation,
-    external: Option<&std::collections::HashMap<LinkId, Vec<f64>>>,
-    capacity_scale: f64,
-    mut cache: Option<&mut AllocBasisCache>,
-    stats: &mut AllocationStats,
-) -> Result<IntervalAllocation, CompileError> {
-    assert_eq!(
-        pinned.num_messages(),
-        assignment.len(),
-        "pinned allocation does not match the assignment"
-    );
-    let is_affected: Vec<bool> = {
-        let mut v = vec![false; assignment.len()];
-        for &m in affected {
-            v[m.index()] = true;
+        for (i, row) in p.iter_mut().enumerate() {
+            let links = assignment.links(MessageId(i));
+            if is_affected[i] || links.is_empty() {
+                continue;
+            }
+            row.clone_from_slice(pin.allocation.row(MessageId(i)));
+            for &l in links {
+                let u = used.entry(l).or_insert_with(|| vec![0.0; intervals.len()]);
+                for (u, &x) in u.iter_mut().zip(row.iter()) {
+                    *u += x;
+                }
+            }
         }
-        v
-    };
-
-    // Start from the pinned matrix; blank what must be re-derived (affected
-    // rows) or cannot carry traffic (link-less rows).
-    let mut p = vec![vec![0.0; intervals.len()]; assignment.len()];
-    for i in 0..assignment.len() {
-        if !is_affected[i] && !assignment.links(MessageId(i)).is_empty() {
-            p[i].clone_from_slice(pinned.row(MessageId(i)));
-        }
-    }
-
-    // Capacity already consumed by pinned traffic, per link per interval.
-    let mut reserved: std::collections::HashMap<LinkId, Vec<f64>> =
-        std::collections::HashMap::new();
-    for i in 0..assignment.len() {
-        let m = MessageId(i);
-        if is_affected[i] {
-            continue;
-        }
-        for &l in assignment.links(m) {
-            let row = reserved
-                .entry(l)
-                .or_insert_with(|| vec![0.0; intervals.len()]);
-            for (k, r) in row.iter_mut().enumerate() {
-                *r += p[i][k];
+        for (&l, row) in pin.reserved {
+            assert_eq!(
+                row.len(),
+                intervals.len(),
+                "external reservation row does not cover every interval"
+            );
+            let u = used.entry(l).or_insert_with(|| vec![0.0; intervals.len()]);
+            for (u, &x) in u.iter_mut().zip(row) {
+                *u += x;
             }
         }
     }
+    let capacity = |link: LinkId, k: usize| {
+        let used = used.get(&link).map_or(0.0, |u| u[k]);
+        (capacity_scale * intervals.length(k) - used).max(0.0)
+    };
 
-    for (si, subset) in subsets.iter().enumerate() {
-        let members: Vec<MessageId> = subset
-            .iter()
-            .copied()
-            .filter(|m| is_affected[m.index()])
-            .collect();
-        if members.is_empty() {
-            continue;
+    let jobs: Vec<(usize, Cow<[MessageId]>)> = subsets
+        .iter()
+        .enumerate()
+        .map(|(si, subset)| match pinned {
+            None => (si, Cow::Borrowed(&subset[..])),
+            Some(_) => {
+                let members = subset.iter().copied().filter(|m| is_affected[m.index()]);
+                (si, Cow::Owned(members.collect()))
+            }
+        })
+        .filter(|(_, members)| !members.is_empty())
+        .collect();
+
+    let (kernel, cache) = match solver {
+        SubsetSolver::Simplex(cache) => (None, cache),
+        SubsetSolver::Flow(kernel) => (Some(kernel), None),
+    };
+    let bases = cache.as_deref();
+    let solve = |(si, members): &(usize, Cow<[MessageId]>)| {
+        let mut sub = AllocationStats::default();
+        let result = match kernel {
+            Some(kernel) => SCRATCH.with_borrow_mut(|ws| {
+                solve_subset_flow(
+                    assignment, bounds, activity, members, capacity, kernel, ws, &mut sub,
+                )
+                .map(|rows| (rows, None))
+            }),
+            None => solve_subset_lp(
+                assignment,
+                bounds,
+                activity,
+                members,
+                capacity,
+                bases.and_then(|c| c.get(*si)),
+                &mut sub,
+            ),
+        };
+        (*si, result, sub)
+    };
+    let solved: Box<dyn Iterator<Item = _>> = if workers > 1 {
+        Box::new(sr_par::par_map(&jobs, workers, solve).into_iter())
+    } else {
+        Box::new(jobs.iter().map(solve))
+    };
+
+    // Serial solves read the cache lazily, so new bases are written back
+    // only after the fold; a failing subset keeps its old slot.
+    let mut fresh_bases = Vec::new();
+    let mut failure = None;
+    for (si, result, sub) in solved {
+        stats.merge(&sub);
+        match result {
+            Ok((rows, basis)) => {
+                for (m, k, v) in rows {
+                    p[m.index()][k] = v;
+                }
+                fresh_bases.push((si, basis));
+            }
+            Err(e) => {
+                failure = Some(e);
+                break;
+            }
         }
-        solve_subset_capacities(
-            assignment,
-            bounds,
-            activity,
-            &members,
-            |link, k| {
-                let used = reserved.get(&link).map_or(0.0, |r| r[k])
-                    + external.and_then(|e| e.get(&link)).map_or(0.0, |r| r[k]);
-                (capacity_scale * intervals.length(k) - used).max(0.0)
-            },
-            &mut p,
-            cache.as_deref_mut().map(|c| c.slot(si)),
-            stats,
-        )?;
     }
-    Ok(IntervalAllocation { p })
+    if let Some(cache) = cache {
+        for (si, basis) in fresh_bases {
+            cache.set(si, basis);
+        }
+    }
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(IntervalAllocation { p }),
+    }
 }
 
 /// One subset LP built in a fixed row layout: the `subset.len()` equality
@@ -660,24 +443,19 @@ where
     }
 }
 
-/// One subset LP with an arbitrary per-link per-interval capacity function
-/// (full scaled interval length for a fresh compile, residual capacity
-/// after pinned traffic for incremental repair).
-///
-/// When `warm` is supplied the LP warm-starts from the slot's basis and the
-/// new optimal basis is stored back into it; `None` keeps the cold path
-/// (bit-identical to the pre-warm-start implementation).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_subset_capacities<C>(
+/// One subset LP with an arbitrary per-link per-interval capacity function,
+/// solved on the sparse simplex, warm-started from `warm` when given.
+/// Returns the subset's nonzero entries and the new optimal basis (for the
+/// caller's [`AllocBasisCache`]).
+pub(crate) fn solve_subset_lp<C>(
     assignment: &PathAssignment,
     bounds: &TimeBounds,
     activity: &ActivityMatrix,
     subset: &[MessageId],
     capacity: C,
-    p: &mut [Vec<f64>],
-    warm: Option<&mut Option<Basis>>,
+    warm: Option<&Basis>,
     stats: &mut AllocationStats,
-) -> Result<(), CompileError>
+) -> Result<(SubsetRows, Option<Basis>), CompileError>
 where
     C: Fn(LinkId, usize) -> f64,
 {
@@ -691,17 +469,10 @@ where
     stats.lp_solves += 1;
     stats.vars += lp.num_vars() as u64;
     stats.constraints += lp.num_constraints() as u64;
-    let solved = match warm {
-        Some(slot) => lp.solve_warm(slot.as_ref()).map(|(s, basis, st)| {
-            *slot = basis;
-            (s, st)
-        }),
-        None => lp.solve_with_stats(),
-    };
-    let sol = match solved {
-        Ok((s, solve_stats)) => {
+    let (sol, basis) = match lp.solve_warm(warm) {
+        Ok((s, basis, solve_stats)) => {
             stats.lp.merge(&solve_stats);
-            s
+            (s, basis)
         }
         Err(LpError::Infeasible) => {
             return Err(CompileError::AllocationInfeasible {
@@ -711,15 +482,16 @@ where
         Err(e) => return Err(CompileError::Lp(e)),
     };
 
+    let mut rows = SubsetRows::new();
     for (mi, &m) in subset.iter().enumerate() {
         for &k in &actives[mi] {
             let v = sol.value(var_of[&(mi, k)]);
             if v > EPS {
-                p[m.index()][k] = v;
+                rows.push((m, k, v));
             }
         }
     }
-    Ok(())
+    Ok((rows, basis))
 }
 
 #[cfg(test)]
@@ -765,6 +537,64 @@ mod tests {
         }
     }
 
+    fn flat(f: &Fixture, scale: f64) -> Result<IntervalAllocation, CompileError> {
+        flat_alloc(
+            &f.assignment,
+            &f.bounds,
+            &f.activity,
+            &f.intervals,
+            &f.subsets,
+            scale,
+        )
+    }
+
+    fn flat_alloc(
+        assignment: &PathAssignment,
+        bounds: &TimeBounds,
+        activity: &ActivityMatrix,
+        intervals: &Intervals,
+        subsets: &[Vec<MessageId>],
+        scale: f64,
+    ) -> Result<IntervalAllocation, CompileError> {
+        allocate_intervals(
+            assignment,
+            bounds,
+            activity,
+            intervals,
+            subsets,
+            scale,
+            None,
+            SubsetSolver::Simplex(None),
+            1,
+            &mut AllocationStats::default(),
+        )
+    }
+
+    fn repin(
+        f: &Fixture,
+        affected: &[MessageId],
+        full: &IntervalAllocation,
+        scale: f64,
+    ) -> Result<IntervalAllocation, CompileError> {
+        let pinned = PinnedRows {
+            affected,
+            allocation: full,
+            reserved: &HashMap::new(),
+        };
+        allocate_intervals(
+            &f.assignment,
+            &f.bounds,
+            &f.activity,
+            &f.intervals,
+            &f.subsets,
+            scale,
+            Some(&pinned),
+            SubsetSolver::Simplex(None),
+            1,
+            &mut AllocationStats::default(),
+        )
+    }
+
     fn check_constraints(f: &Fixture, alloc: &IntervalAllocation, scale: f64) {
         // (3)
         for m in 0..f.assignment.len() {
@@ -801,15 +631,7 @@ mod tests {
     #[test]
     fn feasible_shared_link_allocation() {
         let f = shared_link(50.0, 640); // 10 µs each in a 50 µs frame
-        let alloc = allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0,
-        )
-        .unwrap();
+        let alloc = flat(&f, 1.0).unwrap();
         check_constraints(&f, &alloc, 1.0);
     }
 
@@ -817,15 +639,7 @@ mod tests {
     fn infeasible_when_demand_exceeds_frame() {
         // Two 30 µs messages on one link active over a 50 µs frame: 60 > 50.
         let f = shared_link(50.0, 1920);
-        let err = allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0,
-        )
-        .unwrap_err();
+        let err = flat(&f, 1.0).unwrap_err();
         assert!(matches!(err, CompileError::AllocationInfeasible { .. }));
     }
 
@@ -833,24 +647,8 @@ mod tests {
     fn capacity_scale_tightens() {
         // 20+20 µs over 50 µs fits at scale 1.0 but not at scale 0.5.
         let f = shared_link(50.0, 1280);
-        assert!(allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0
-        )
-        .is_ok());
-        let err = allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            0.5,
-        )
-        .unwrap_err();
+        assert!(flat(&f, 1.0).is_ok());
+        let err = flat(&f, 0.5).unwrap_err();
         assert!(matches!(err, CompileError::AllocationInfeasible { .. }));
     }
 
@@ -859,42 +657,16 @@ mod tests {
         // Period 120 -> windows [50,100] and [110->fold 0? no: 110 fold
         // 110, window 50 wraps to [110,120]∪[0,40]].
         let f = shared_link(120.0, 640);
-        let alloc = allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0,
-        )
-        .unwrap();
+        let alloc = flat(&f, 1.0).unwrap();
         check_constraints(&f, &alloc, 1.0);
     }
 
     #[test]
     fn pinned_reallocation_keeps_unaffected_rows_bit_identical() {
         let f = shared_link(50.0, 1280); // 20+20 µs: tight but feasible
-        let full = allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0,
-        )
-        .unwrap();
+        let full = flat(&f, 1.0).unwrap();
         // Re-derive only message 1, pinning message 0.
-        let repaired = allocate_intervals_pinned(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            &[MessageId(1)],
-            &full,
-            1.0,
-        )
-        .unwrap();
+        let repaired = repin(&f, &[MessageId(1)], &full, 1.0).unwrap();
         assert_eq!(repaired.row(MessageId(0)), full.row(MessageId(0)));
         check_constraints(&f, &repaired, 1.0);
     }
@@ -905,26 +677,8 @@ mod tests {
         // message into capacity scale 0.5 while message 0 stays pinned at
         // its full-scale split: 25-20=5 µs of residual cannot carry 20 µs.
         let f = shared_link(50.0, 1280);
-        let full = allocate_intervals(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            1.0,
-        )
-        .unwrap();
-        let err = allocate_intervals_pinned(
-            &f.assignment,
-            &f.bounds,
-            &f.activity,
-            &f.intervals,
-            &f.subsets,
-            &[MessageId(1)],
-            &full,
-            0.5,
-        )
-        .unwrap_err();
+        let full = flat(&f, 1.0).unwrap();
+        let err = repin(&f, &[MessageId(1)], &full, 0.5).unwrap_err();
         assert!(matches!(err, CompileError::AllocationInfeasible { .. }));
     }
 
@@ -944,48 +698,7 @@ mod tests {
         let pa = PathAssignment::lsd_to_msd(&tfg, &topo, &alloc);
         let subsets = related_subsets(&pa, &activity);
         assert!(subsets.is_empty());
-        let ia = allocate_intervals(&pa, &bounds, &activity, &intervals, &subsets, 1.0).unwrap();
+        let ia = flat_alloc(&pa, &bounds, &activity, &intervals, &subsets, 1.0).unwrap();
         assert_eq!(ia.total(MessageId(0)), 0.0);
-    }
-
-    #[test]
-    fn partitioned_allocation_matches_flat() {
-        // A scattered DVB workload on a 4x4 torus yields several related
-        // subsets, some confined to one node band and some crossing bands.
-        let topo = sr_topology::Torus::new(&[4, 4]).unwrap();
-        let tfg = sr_tfg::dvb_uniform(4);
-        let timing = Timing::calibrated_dvb(128.0);
-        let alloc = sr_mapping::random_distinct(&tfg, &topo, 7).unwrap();
-        let period = timing.longest_task(&tfg) * 2.0;
-        let bounds = assign_time_bounds(&tfg, &timing, period, WindowPolicy::LongestTask).unwrap();
-        let intervals = Intervals::from_bounds(&bounds);
-        let activity = ActivityMatrix::new(&bounds, &intervals);
-        let assignment = PathAssignment::lsd_to_msd(&tfg, &topo, &alloc);
-        let subsets = related_subsets(&assignment, &activity);
-        assert!(subsets.len() > 1, "fixture should have multiple subsets");
-
-        let flat =
-            allocate_intervals(&assignment, &bounds, &activity, &intervals, &subsets, 1.0).unwrap();
-        let part_of = crate::band_partition(sr_topology::Topology::num_nodes(&topo), 4);
-        for threads in [1, 4] {
-            let mut stats = AllocationStats::default();
-            let part = allocate_intervals_partitioned(
-                &assignment,
-                &bounds,
-                &activity,
-                &intervals,
-                &subsets,
-                1.0,
-                &part_of,
-                threads,
-                &mut stats,
-            )
-            .unwrap();
-            assert!(stats.lp_solves > 0);
-            for m in 0..assignment.len() {
-                let m = MessageId(m);
-                assert_eq!(part.row(m), flat.row(m), "{m} differs at threads={threads}");
-            }
-        }
     }
 }

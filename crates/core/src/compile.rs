@@ -9,11 +9,10 @@ use sr_topology::{NodeId, Topology};
 use crate::diagnosis::{CandidateOutcome, CandidateRecord, Diagnosis};
 use crate::interval_sched::{schedule_intervals_greedy, schedule_intervals_guarded_stats};
 use crate::{
-    allocate_intervals_flow, allocate_intervals_partitioned, allocate_intervals_stats,
-    allocate_intervals_warm, assign_paths_pooled, build_node_schedules, related_subsets,
-    ActivityMatrix, AllocBasisCache, AllocationStats, AssignPathsConfig, CompileError,
-    FlowAllocStats, FlowWorkspace, IntervalAllocation, IntervalSchedStats, IntervalSchedule,
-    Intervals, NodeSchedule, PathAssignment, PathPool, Segment, UtilizationMap,
+    allocate_intervals, assign_paths_pooled, build_node_schedules, related_subsets, ActivityMatrix,
+    AllocBasisCache, AllocationStats, AssignPathsConfig, CompileError, IntervalAllocation,
+    IntervalSchedStats, IntervalSchedule, Intervals, NodeSchedule, PathAssignment, PathPool,
+    Segment, SubsetSolver, UtilizationMap,
 };
 
 /// Backend for the message–interval allocation stage.
@@ -31,8 +30,7 @@ pub enum AllocEngine {
     Simplex,
     /// One time-expanded min-cost-flow network per subset, solved by
     /// successive shortest paths; the rare subset where the relaxation is
-    /// loose falls back to the simplex
-    /// ([`crate::allocate_intervals_flow`]).
+    /// loose falls back to the simplex ([`crate::SubsetSolver::Flow`]).
     Flow,
 }
 
@@ -103,9 +101,9 @@ pub struct CompileConfig {
     /// ([`crate::band_partition`]) and compile hierarchically: `AssignPaths`
     /// hill-climbs each band's interior traffic in parallel and stitches
     /// boundary messages afterwards
-    /// ([`crate::assign_paths_partitioned`]), and the simplex allocation
-    /// solves interior subsets concurrently with a pinned-row boundary pass
-    /// ([`crate::allocate_intervals_partitioned`]). `0` or `1` (the
+    /// ([`crate::assign_paths_partitioned`]), and the allocation solves its
+    /// subsets concurrently ([`crate::allocate_intervals`] with
+    /// [`CompileConfig::parallelism`] workers). `0` or `1` (the
     /// default) keeps the flat pipeline. Partitioned compiles remain
     /// deterministic for a fixed config — including across
     /// [`CompileConfig::parallelism`] settings — but trade assignment
@@ -511,7 +509,6 @@ enum ScaleOutcome {
 #[derive(Clone, Copy, Default)]
 struct ScaleStats {
     alloc: AllocationStats,
-    flow: FlowAllocStats,
     isched: IntervalSchedStats,
 }
 
@@ -520,17 +517,7 @@ impl ScaleStats {
     /// a warm-influenced winner is re-derived cold, so the walk reports the
     /// candidate's *total* work (warm probe plus cold confirmation).
     fn absorb(&mut self, other: &ScaleStats) {
-        self.alloc.lp.merge(&other.alloc.lp);
-        self.alloc.lp_solves += other.alloc.lp_solves;
-        self.alloc.vars += other.alloc.vars;
-        self.alloc.constraints += other.alloc.constraints;
-        self.flow.solves += other.flow.solves;
-        self.flow.nodes += other.flow.nodes;
-        self.flow.arcs += other.flow.arcs;
-        self.flow.augmentations += other.flow.augmentations;
-        self.flow.dijkstra_pops += other.flow.dijkstra_pops;
-        self.flow.potential_reuse_hits += other.flow.potential_reuse_hits;
-        self.flow.fallbacks += other.flow.fallbacks;
+        self.alloc.merge(&other.alloc);
         self.isched.lp.merge(&other.isched.lp);
         self.isched.lp_solves += other.isched.lp_solves;
         self.isched.feasible_sets += other.isched.feasible_sets;
@@ -661,7 +648,6 @@ impl SearchCtx<'_> {
         sidx: usize,
         si: usize,
         cache: Option<&mut AllocBasisCache>,
-        flow_ws: &mut FlowWorkspace,
     ) -> (ScaleOutcome, ScaleStats) {
         let scale = self.scales[si];
         let mut stats = ScaleStats::default();
@@ -673,51 +659,24 @@ impl SearchCtx<'_> {
         // Spare capacity shrinks what the allocation may hand out; the
         // stored `capacity_scale` stays the nominal ladder value.
         let effective = scale * (1.0 - self.config.spare_capacity);
-        let allocated = match (self.config.alloc_engine, cache) {
-            (AllocEngine::Flow, _) => allocate_intervals_flow(
-                &ev.assignment,
-                self.bounds,
-                self.activity,
-                self.intervals,
-                &ev.subsets,
-                effective,
-                flow_ws,
-                &mut stats.flow,
-                &mut stats.alloc,
-            ),
-            (AllocEngine::Simplex, _) if self.config.partition > 1 => {
-                allocate_intervals_partitioned(
-                    &ev.assignment,
-                    self.bounds,
-                    self.activity,
-                    self.intervals,
-                    &ev.subsets,
-                    effective,
-                    &crate::band_partition_topo(self.topo, self.config.partition),
-                    sr_par::effective_threads(self.config.parallelism),
-                    &mut stats.alloc,
-                )
-            }
-            (AllocEngine::Simplex, Some(cache)) => allocate_intervals_warm(
-                &ev.assignment,
-                self.bounds,
-                self.activity,
-                self.intervals,
-                &ev.subsets,
-                effective,
-                cache,
-                &mut stats.alloc,
-            ),
-            (AllocEngine::Simplex, None) => allocate_intervals_stats(
-                &ev.assignment,
-                self.bounds,
-                self.activity,
-                self.intervals,
-                &ev.subsets,
-                effective,
-                &mut stats.alloc,
-            ),
+        // Partitioned compiles solve the subsets on the search's workers.
+        let workers = if self.config.partition > 1 {
+            sr_par::effective_threads(self.config.parallelism)
+        } else {
+            1
         };
+        let allocated = allocate_intervals(
+            &ev.assignment,
+            self.bounds,
+            self.activity,
+            self.intervals,
+            &ev.subsets,
+            effective,
+            None,
+            SubsetSolver::for_engine(self.config.alloc_engine, cache),
+            workers,
+            &mut stats.alloc,
+        );
         alloc_span.annotate("lp_pivots", stats.alloc.lp.pivots as f64);
         drop(alloc_span);
         let allocation = match allocated {
@@ -797,18 +756,14 @@ impl SearchCtx<'_> {
             && self.config.alloc_engine == AllocEngine::Simplex
             && self.config.partition <= 1)
             .then(AllocBasisCache::new);
-        // The flow kernel's scratch, reused across this ladder's rungs and
-        // their per-subset solves (it mirrors the basis cache above, but
-        // carries no semantic state, so it needs no cold confirmation).
-        let mut flow_ws = FlowWorkspace::new();
         let mut ladder = Vec::new();
         for si in 0..num_scales {
             if sidx * num_scales + si > best.load(Ordering::Relaxed) {
                 break;
             }
-            let (mut out, mut stats) = self.eval_scale(ev, sidx, si, cache.as_mut(), &mut flow_ws);
+            let (mut out, mut stats) = self.eval_scale(ev, sidx, si, cache.as_mut());
             if matches!(out, ScaleOutcome::Scheduled { .. }) && si > 0 && cache.is_some() {
-                let (cold_out, cold_stats) = self.eval_scale(ev, sidx, si, None, &mut flow_ws);
+                let (cold_out, cold_stats) = self.eval_scale(ev, sidx, si, None);
                 stats.absorb(&cold_stats);
                 out = cold_out;
             }
@@ -1107,16 +1062,14 @@ impl SearchCtx<'_> {
         // Flow-engine work; under the simplex engine the namespace is
         // absent entirely so the default counter set is unchanged.
         if self.config.alloc_engine == AllocEngine::Flow {
-            rec.add("alloc_flow.solves", stats.flow.solves);
-            rec.add("alloc_flow.nodes", stats.flow.nodes);
-            rec.add("alloc_flow.arcs", stats.flow.arcs);
-            rec.add("alloc_flow.augmentations", stats.flow.augmentations);
-            rec.add("alloc_flow.dijkstra_pops", stats.flow.dijkstra_pops);
-            rec.add(
-                "alloc_flow.potential_reuse_hits",
-                stats.flow.potential_reuse_hits,
-            );
-            rec.add("alloc_flow.fallbacks", stats.flow.fallbacks);
+            let flow = &stats.alloc.flow;
+            rec.add("alloc_flow.solves", flow.solves);
+            rec.add("alloc_flow.nodes", flow.nodes);
+            rec.add("alloc_flow.arcs", flow.arcs);
+            rec.add("alloc_flow.augmentations", flow.augmentations);
+            rec.add("alloc_flow.dijkstra_pops", flow.dijkstra_pops);
+            rec.add("alloc_flow.potential_reuse_hits", flow.potential_reuse_hits);
+            rec.add("alloc_flow.fallbacks", flow.fallbacks);
         }
         rec.add("sched_lp.solves", stats.isched.lp_solves);
         add_lp_counters(rec, "sched_lp", &stats.isched.lp);

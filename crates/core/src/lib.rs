@@ -84,14 +84,10 @@ mod switching;
 mod utilization;
 mod verify;
 
-pub use allocation_flow::{
-    allocate_intervals_flow, allocate_intervals_flow_with_kernel,
-    allocate_intervals_pinned_reserved_flow, FlowAllocStats, FlowKernel, FlowWorkspace,
-};
+pub use allocation_flow::{FlowAllocStats, FlowKernel};
 pub use allocation_lp::{
-    allocate_intervals, allocate_intervals_partitioned, allocate_intervals_pinned,
-    allocate_intervals_pinned_reserved, allocate_intervals_pinned_warm, allocate_intervals_stats,
-    allocate_intervals_warm, AllocBasisCache, AllocationStats, IntervalAllocation,
+    allocate_intervals, AllocBasisCache, AllocationStats, IntervalAllocation, PinnedRows,
+    SubsetSolver,
 };
 pub use assign_paths::{
     assign_paths, assign_paths_partial, assign_paths_partitioned, assign_paths_pooled,

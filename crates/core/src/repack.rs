@@ -4,9 +4,10 @@
 //! schedule: `sr-fault::repair` (links disappeared, affected messages
 //! re-routed) and `sr-serve` admission (messages arrived, every admitted
 //! tenant's traffic frozen). Both walk the same capacity-scale ladder —
-//! pinned allocation LP, then earliest-fit packing of the re-derived rows
-//! into the idle time the frozen traffic leaves — so the ladder lives here,
-//! in one place, and the callers cannot drift.
+//! one pinned call of the allocation driver ([`crate::allocate_intervals`]
+//! with [`crate::PinnedRows`]) per rung, then earliest-fit packing of the
+//! re-derived rows into the idle time the frozen traffic leaves — so the
+//! ladder lives here, in one place, and the callers cannot drift.
 //!
 //! The generalization over the original repair-only code is the
 //! `external_busy` parameter: per-link spans occupied by traffic that is
@@ -21,9 +22,9 @@ use sr_tfg::MessageId;
 use sr_topology::LinkId;
 
 use crate::{
-    allocate_intervals_pinned_reserved, allocate_intervals_pinned_reserved_flow, related_subsets,
-    AllocBasisCache, AllocEngine, AllocationStats, CompileError, FlowAllocStats, FlowWorkspace,
-    IntervalAllocation, IntervalSchedule, PathAssignment, Schedule, Slice, EPS,
+    allocate_intervals, related_subsets, AllocBasisCache, AllocEngine, AllocationStats,
+    CompileError, IntervalAllocation, IntervalSchedule, PathAssignment, PinnedRows, Schedule,
+    Slice, SubsetSolver, EPS,
 };
 
 /// How one scale rung of [`reallocate_pinned`] ended.
@@ -62,7 +63,7 @@ pub struct Repacked {
 
 /// Walks the capacity-scale ladder for an incremental re-allocation: at
 /// each scale, re-solve the `affected` messages' rows with every other row
-/// of `schedule` pinned ([`allocate_intervals_pinned_reserved`]), then pack
+/// of `schedule` pinned ([`allocate_intervals`] with [`PinnedRows`]), then pack
 /// the re-derived rows into the idle time left by the retained slices and
 /// `external_busy` ([`pack_affected`]). The first packable scale wins.
 ///
@@ -81,14 +82,12 @@ pub struct Repacked {
 /// simplex engine — so the namespace is pinned for the metrics gates),
 /// plus `<prefix>.alloc_infeasible`, `<prefix>.pack_failed`.
 ///
-/// `engine` selects the pinned-allocation backend. Under
-/// [`AllocEngine::Simplex`] the subset LPs warm-start from `cache` down
-/// the ladder (structurally identical LPs, shrinking capacities), and
-/// across calls when the assignment and subsets are unchanged — the serve
-/// daemon's repeat-admission fast path. Under [`AllocEngine::Flow`] the
-/// rows come from [`allocate_intervals_pinned_reserved_flow`] and
-/// `flow_ws` is the workspace reused across rungs and calls (the flow-side
-/// mirror of `cache`; `cache` then only serves fallback solves).
+/// `engine` selects the subset solver. Under [`AllocEngine::Simplex`] the
+/// subset LPs warm-start from `cache` down the ladder (structurally
+/// identical LPs, shrinking capacities), and across calls when the
+/// assignment and subsets are unchanged — the serve daemon's
+/// repeat-admission fast path. Under [`AllocEngine::Flow`] each subset is a
+/// min-cost-flow network and `cache` is unused.
 ///
 /// Returns `None` when no scale yields a packable allocation. An empty
 /// `scales` tries `1.0` alone.
@@ -102,7 +101,6 @@ pub fn reallocate_pinned(
     scales: &[f64],
     engine: AllocEngine,
     cache: &mut AllocBasisCache,
-    flow_ws: &mut FlowWorkspace,
     prefix: &str,
     rec: &dyn Recorder,
     attempts: &mut Vec<ReallocAttempt>,
@@ -132,39 +130,26 @@ pub fn reallocate_pinned(
         })
         .collect();
 
+    let pinned = PinnedRows {
+        affected,
+        allocation: schedule.allocation(),
+        reserved: &reserved,
+    };
     for &scale in scales {
         rec.add(&format!("{prefix}.candidates"), 1);
         let mut alloc_stats = AllocationStats::default();
-        let mut flow_stats = FlowAllocStats::default();
-        let allocated = match engine {
-            AllocEngine::Simplex => allocate_intervals_pinned_reserved(
-                assignment,
-                schedule.bounds(),
-                schedule.activity(),
-                intervals,
-                &subsets,
-                affected,
-                schedule.allocation(),
-                &reserved,
-                scale,
-                Some(cache),
-                &mut alloc_stats,
-            ),
-            AllocEngine::Flow => allocate_intervals_pinned_reserved_flow(
-                assignment,
-                schedule.bounds(),
-                schedule.activity(),
-                intervals,
-                &subsets,
-                affected,
-                schedule.allocation(),
-                &reserved,
-                scale,
-                flow_ws,
-                &mut flow_stats,
-                &mut alloc_stats,
-            ),
-        };
+        let allocated = allocate_intervals(
+            assignment,
+            schedule.bounds(),
+            schedule.activity(),
+            intervals,
+            &subsets,
+            scale,
+            Some(&pinned),
+            SubsetSolver::for_engine(engine, Some(&mut *cache)),
+            1,
+            &mut alloc_stats,
+        );
         rec.add(&format!("{prefix}.alloc_lp.solves"), alloc_stats.lp_solves);
         rec.add(&format!("{prefix}.alloc_lp.pivots"), alloc_stats.lp.pivots);
         rec.add(
@@ -178,6 +163,7 @@ pub fn reallocate_pinned(
         // Flow-kernel work, emitted unconditionally (zeros under the
         // simplex engine) so the counter namespace is engine-independent
         // and the metrics gates pin it either way.
+        let flow_stats = alloc_stats.flow;
         rec.add(&format!("{prefix}.alloc_flow.solves"), flow_stats.solves);
         rec.add(
             &format!("{prefix}.alloc_flow.augmentations"),

@@ -1,12 +1,14 @@
 //! Property-based tests of the scheduled-routing compiler's internal
 //! invariants, stage by stage.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use sr_core::{
-    allocate_intervals, allocate_intervals_flow_with_kernel, assign_paths, compile,
-    related_subsets, schedule_intervals, ActivityMatrix, AllocEngine, AllocationStats,
-    AssignPathsConfig, CompileConfig, FlowAllocStats, FlowKernel, FlowWorkspace, Intervals,
-    PathAssignment, UtilizationMap, EPS,
+    allocate_intervals, assign_paths, compile, related_subsets, schedule_intervals, ActivityMatrix,
+    AllocBasisCache, AllocEngine, AllocationStats, AssignPathsConfig, CompileConfig, CompileError,
+    FlowKernel, IntervalAllocation, Intervals, PathAssignment, PinnedRows, SubsetSolver,
+    UtilizationMap, EPS,
 };
 use sr_mapping::Allocation;
 use sr_tfg::generators::{layered_random, LayeredParams};
@@ -52,6 +54,74 @@ fn stage() -> impl Strategy<Value = (Stage, u64)> {
 
 fn cube() -> GeneralizedHypercube {
     GeneralizedHypercube::binary(4).unwrap()
+}
+
+/// One stage's allocation problem on the cube's dimension-order paths.
+struct Problem {
+    pa: PathAssignment,
+    bounds: TimeBounds,
+    intervals: Intervals,
+    activity: ActivityMatrix,
+    subsets: Vec<Vec<MessageId>>,
+}
+
+impl Problem {
+    fn new(s: &Stage, pa: PathAssignment) -> Problem {
+        let intervals = Intervals::from_bounds(&s.bounds);
+        let activity = ActivityMatrix::new(&s.bounds, &intervals);
+        let subsets = related_subsets(&pa, &activity);
+        Problem {
+            pa,
+            bounds: s.bounds.clone(),
+            intervals,
+            activity,
+            subsets,
+        }
+    }
+
+    /// The allocation driver over `subsets`, with its work counters.
+    fn drive(
+        &self,
+        subsets: &[Vec<MessageId>],
+        scale: f64,
+        pinned: Option<&PinnedRows<'_>>,
+        solver: SubsetSolver<'_>,
+        workers: usize,
+    ) -> (Result<IntervalAllocation, CompileError>, AllocationStats) {
+        let mut stats = AllocationStats::default();
+        let r = allocate_intervals(
+            &self.pa,
+            &self.bounds,
+            &self.activity,
+            &self.intervals,
+            subsets,
+            scale,
+            pinned,
+            solver,
+            workers,
+            &mut stats,
+        );
+        (r, stats)
+    }
+
+    /// Every cell's bit pattern, or the error: equal values mean a
+    /// bit-identical outcome.
+    fn bits(&self, r: &Result<IntervalAllocation, CompileError>) -> Result<Vec<u64>, String> {
+        match r {
+            Ok(a) => Ok((0..self.pa.len())
+                .flat_map(|m| a.row(MessageId(m)).iter().map(|v| v.to_bits()))
+                .collect()),
+            Err(e) => Err(format!("{e:?}")),
+        }
+    }
+}
+
+/// The simplex (`None`) or flow subset solver, cold.
+fn solver(kernel: Option<FlowKernel>) -> SubsetSolver<'static> {
+    match kernel {
+        None => SubsetSolver::Simplex(None),
+        Some(k) => SubsetSolver::Flow(k),
+    }
 }
 
 proptest! {
@@ -152,8 +222,8 @@ proptest! {
         );
         let pa = out.assignment;
         let subsets = related_subsets(&pa, &activity);
-        let Ok(allocation) =
-            allocate_intervals(&pa, &s.bounds, &activity, &intervals, &subsets, 1.0)
+        let problem = Problem::new(&s, pa.clone());
+        let Ok(allocation) = problem.drive(&subsets, 1.0, None, solver(None), 1).0
         else { return Ok(()); };
 
         // (3): totals match durations; allocation only in active intervals.
@@ -313,15 +383,10 @@ proptest! {
         let pa = PathAssignment::lsd_to_msd(&s.tfg, &topo, &s.alloc);
         let subsets = related_subsets(&pa, &activity);
 
+        let problem = Problem::new(&s, pa);
         let run = |kernel: FlowKernel| {
-            let mut ws = FlowWorkspace::new();
-            let mut stats = FlowAllocStats::default();
-            let mut lp = AllocationStats::default();
-            let r = allocate_intervals_flow_with_kernel(
-                &pa, &s.bounds, &activity, &intervals, &subsets, 1.0,
-                kernel, &mut ws, &mut stats, &mut lp,
-            );
-            (r, stats)
+            let (r, stats) = problem.drive(&subsets, 1.0, None, solver(Some(kernel)), 1);
+            (r, stats.flow)
         };
         let (dk, dk_stats) = run(FlowKernel::SspDijkstra);
         let (bf, bf_stats) = run(FlowKernel::BellmanFordOracle);
@@ -349,6 +414,63 @@ proptest! {
             (Ok(_), Err(e)) => prop_assert!(false, "dijkstra fine, oracle failed: {e}"),
             (Err(e), Ok(_)) => prop_assert!(false, "dijkstra failed ({e}), oracle fine"),
         }
+    }
+
+    /// A fresh compile is the pinned call with nothing pinned: the driver
+    /// with every message affected over an all-zero pinned matrix returns
+    /// the flat allocation — rows, verdict, and counters — bit for bit under
+    /// both subset solvers.
+    #[test]
+    fn all_affected_pinned_driver_matches_flat((s, _) in stage(), scale in 0.05f64..1.0) {
+        let p = Problem::new(&s, PathAssignment::lsd_to_msd(&s.tfg, &cube(), &s.alloc));
+        // No subsets to solve: an all-zero matrix.
+        let zeros = p.drive(&[], 1.0, None, solver(None), 1).0.expect("nothing to solve");
+        let all: Vec<MessageId> = (0..p.pa.len()).map(MessageId).collect();
+        let reserved = HashMap::new();
+        let pinned = PinnedRows { affected: &all, allocation: &zeros, reserved: &reserved };
+        for kernel in [None, Some(FlowKernel::SspDijkstra)] {
+            let (flat, flat_stats) = p.drive(&p.subsets, scale, None, solver(kernel), 1);
+            let (pin, pin_stats) = p.drive(&p.subsets, scale, Some(&pinned), solver(kernel), 1);
+            prop_assert_eq!(p.bits(&flat), p.bits(&pin), "solver {:?}", kernel);
+            prop_assert_eq!(flat_stats, pin_stats);
+        }
+    }
+
+    /// The driver's result does not depend on its worker count: 1 and 4
+    /// workers return identical rows, identical counters (LP and flow),
+    /// identical warm-basis caches along a two-rung ladder, and the same
+    /// error on infeasible instances — the fold runs in subset order up to
+    /// and including the first failing subset.
+    #[test]
+    fn driver_is_worker_count_invariant((s, seed) in stage(), scale in 0.05f64..1.0) {
+        let topo = cube();
+        let intervals = Intervals::from_bounds(&s.bounds);
+        let activity = ActivityMatrix::new(&s.bounds, &intervals);
+        let out = assign_paths(
+            &s.tfg, &topo, &s.alloc, &s.bounds, &intervals, &activity,
+            &AssignPathsConfig { seed, max_restarts: 2, ..AssignPathsConfig::default() },
+        );
+        let p = Problem::new(&s, out.assignment);
+        for kernel in [None, Some(FlowKernel::SspDijkstra)] {
+            let (a, sa) = p.drive(&p.subsets, scale, None, solver(kernel), 1);
+            let (b, sb) = p.drive(&p.subsets, scale, None, solver(kernel), 4);
+            prop_assert_eq!(p.bits(&a), p.bits(&b), "solver {:?}", kernel);
+            prop_assert_eq!(sa, sb);
+        }
+        let ladder = |workers: usize| {
+            let mut cache = AllocBasisCache::new();
+            let rungs: Vec<_> = [1.0, scale]
+                .iter()
+                .map(|&sc| {
+                    let (r, st) = p.drive(
+                        &p.subsets, sc, None, SubsetSolver::Simplex(Some(&mut cache)), workers,
+                    );
+                    (p.bits(&r), st)
+                })
+                .collect();
+            (rungs, cache.warm_slots())
+        };
+        prop_assert_eq!(ladder(1), ladder(4));
     }
 
     /// The utilization map's aggregate bounds are internally consistent.

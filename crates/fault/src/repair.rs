@@ -2,8 +2,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sr_core::{
     admit_best_effort, analyze_damage, assign_paths_partial, reallocate_pinned, AllocBasisCache,
-    AllocEngine, AssignPathsConfig, BestEffortGrant, DamageReport, FlowWorkspace,
-    ReallocAttemptOutcome, Schedule, EPS,
+    AllocEngine, AssignPathsConfig, BestEffortGrant, DamageReport, ReallocAttemptOutcome, Schedule,
+    EPS,
 };
 use sr_obs::{span_with, Recorder, NOOP};
 use sr_tfg::{MessageId, TaskFlowGraph, Timing};
@@ -502,7 +502,6 @@ fn try_repair(
     // so the busy ledger is empty and the behaviour matches the historical
     // repair-only code exactly.
     let mut cache = AllocBasisCache::new();
-    let mut flow_ws = FlowWorkspace::new();
     let mut attempts = Vec::new();
     let repacked = reallocate_pinned(
         schedule,
@@ -513,7 +512,6 @@ fn try_repair(
         &config.feedback_scales,
         config.alloc_engine,
         &mut cache,
-        &mut flow_ws,
         "repair",
         rec,
         &mut attempts,

@@ -47,6 +47,7 @@
 
 mod events;
 mod journal;
+pub mod json;
 mod oi;
 mod prometheus;
 

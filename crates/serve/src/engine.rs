@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sr_core::{
     assign_paths_partial, compile_diagnosed, free_within, intersect, reallocate_pinned,
-    AllocBasisCache, CompileConfig, FlowWorkspace, Schedule, EPS,
+    AllocBasisCache, CompileConfig, Schedule, EPS,
 };
 use sr_mapping::Allocation;
 use sr_obs::{span_with, Recorder};
@@ -224,8 +224,8 @@ pub enum AdmitError {
     InvalidSpec(String),
     /// The ladder was exhausted.
     Infeasible(Rejection),
-    /// An invariant check failed after install; the admission was rolled
-    /// back.
+    /// An invariant check failed after install (the admission was rolled
+    /// back), or the engine's own state was inconsistent.
     Internal(String),
 }
 
@@ -296,10 +296,6 @@ struct MemoEntry {
     schedule: Option<Schedule>,
     diagnosis: Option<String>,
     cache: AllocBasisCache,
-    /// Flow-kernel workspace, the [`cache`](MemoEntry::cache) mirror for
-    /// `AllocEngine::Flow` adapt rungs: buffers reused across this
-    /// tenant's admissions.
-    flow_ws: FlowWorkspace,
     last: Option<LastResult>,
     age: u64,
 }
@@ -446,7 +442,7 @@ impl Engine {
         // Replay: identical spec against a bit-identical ledger reproduces
         // the previous admission exactly (the evict-then-readmit
         // determinism guarantee).
-        let entry = self.memo.get(&spec.name).expect("memoized above");
+        let entry = self.memo_entry(&spec.name)?;
         if let Some(last) = &entry.last {
             if last.ledger == ledger {
                 rec.add("serve.admit.replayed", 1);
@@ -486,7 +482,10 @@ impl Engine {
             let affected = linked_messages(&sched);
             let scales = self.cfg.feedback_scales.clone();
             let mut attempts = Vec::new();
-            let entry = self.memo.get_mut(&spec.name).expect("memoized above");
+            let entry = self
+                .memo
+                .get_mut(&spec.name)
+                .ok_or_else(|| missing_memo(&spec.name))?;
             let adapted = reallocate_pinned(
                 &sched,
                 sched.assignment(),
@@ -496,7 +495,6 @@ impl Engine {
                 &scales,
                 self.cfg.compile.alloc_engine,
                 &mut entry.cache,
-                &mut entry.flow_ws,
                 "serve",
                 rec,
                 &mut attempts,
@@ -531,7 +529,7 @@ impl Engine {
             if let Some((rerouted, scale)) = rerouted {
                 rec.add("serve.admit.rerouted", 1);
                 let spans = spans_of_schedule(&rerouted);
-                let entry = self.memo.get(&spec.name).expect("memoized above");
+                let entry = self.memo_entry(&spec.name)?;
                 let tenant = Tenant {
                     name: spec.name.clone(),
                     seq: self.admit_seq,
@@ -549,7 +547,7 @@ impl Engine {
 
         // Rung 4: best-effort (single guard-separated span per message on
         // the standalone paths, no real-time guarantee).
-        let entry = self.memo.get(&spec.name).expect("memoized above");
+        let entry = self.memo_entry(&spec.name)?;
         if spec.best_effort {
             if let Some(sched) = &entry.schedule {
                 let grants = self.try_best_effort(sched, &ledger);
@@ -575,7 +573,7 @@ impl Engine {
         // Rung 5: reject, with the best explanation available.
         timer.lap("reject");
         rec.add("serve.admit.rejected", 1);
-        let entry = self.memo.get(&spec.name).expect("memoized above");
+        let entry = self.memo_entry(&spec.name)?;
         let mut rejection = Rejection::default();
         if let Some(diag) = &entry.diagnosis {
             rejection.detail = format!(
@@ -650,13 +648,12 @@ impl Engine {
                     schedule,
                     diagnosis,
                     cache: AllocBasisCache::new(),
-                    flow_ws: FlowWorkspace::new(),
                     last: None,
                     age: clock,
                 },
             );
         }
-        self.trim_memo();
+        self.trim_memo(None);
         specs.iter().map(|s| self.admit(s, rec)).collect()
     }
 
@@ -802,23 +799,31 @@ impl Engine {
                 schedule,
                 diagnosis,
                 cache: AllocBasisCache::new(),
-                flow_ws: FlowWorkspace::new(),
                 last: None,
                 age: self.memo_clock,
             },
         );
-        self.trim_memo();
+        self.trim_memo(Some(&spec.name));
         Ok(false)
     }
 
+    /// The memo entry of a tenant being admitted (`memoize` ran first).
+    fn memo_entry(&self, name: &str) -> Result<&MemoEntry, AdmitError> {
+        self.memo.get(name).ok_or_else(|| missing_memo(name))
+    }
+
     /// Drops least-recently-used memo entries beyond the configured
-    /// capacity. Entries of currently admitted tenants are kept.
-    fn trim_memo(&mut self) {
+    /// capacity. Entries of currently admitted tenants, and `keep` (the
+    /// tenant being admitted), are kept — so the memo can exceed its
+    /// capacity while every entry is in use.
+    fn trim_memo(&mut self, keep: Option<&str>) {
         while self.memo.len() > self.cfg.memo_capacity.max(1) {
             let victim = self
                 .memo
                 .iter()
-                .filter(|(name, _)| !self.tenants.contains_key(*name))
+                .filter(|(name, _)| {
+                    !self.tenants.contains_key(*name) && Some(name.as_str()) != keep
+                })
                 .min_by_key(|(_, e)| e.age)
                 .map(|(name, _)| name.clone());
             match victim {
@@ -943,7 +948,6 @@ impl Engine {
         // Fresh cache: the re-routed assignment has different subsets than
         // the standalone one the per-tenant cache was built for.
         let mut cache = AllocBasisCache::new();
-        let mut flow_ws = FlowWorkspace::new();
         let mut attempts = Vec::new();
         let rp = reallocate_pinned(
             sched,
@@ -954,7 +958,6 @@ impl Engine {
             &scales,
             self.cfg.compile.alloc_engine,
             &mut cache,
-            &mut flow_ws,
             "serve",
             rec,
             &mut attempts,
@@ -1083,6 +1086,12 @@ fn coalesce(spans: &mut Vec<(f64, f64)>) {
     *spans = out;
 }
 
+/// The typed error for an admission whose memo entry vanished mid-ladder
+/// (unreachable while `trim_memo` spares the tenant being admitted).
+fn missing_memo(name: &str) -> AdmitError {
+    AdmitError::Internal(format!("memo entry for tenant \"{name}\" is missing"))
+}
+
 /// Whether `spans` fit into the idle time `ledger` leaves, every span at
 /// least `guard` away from every ledger span on the same link.
 fn fits(
@@ -1125,6 +1134,44 @@ mod tests {
             placement: Placement::Nodes(nodes.to_vec()),
             best_effort: false,
         }
+    }
+
+    /// Admits `count` distinct one-message tenants through the daemon, each
+    /// on its own adjacent node pair `(2i, 2i + 1)` of `topo`, asserting
+    /// every admission succeeds; returns the daemon's counters.
+    fn admit_distinct(topo: Torus, cfg: ServeConfig, count: usize) -> BTreeMap<String, u64> {
+        let mut d = crate::Daemon::new(Engine::new(Box::new(topo), cfg));
+        for i in 0..count {
+            let req = format!(
+                r#"{{"op":"admit","tenant":{{"name":"t{i}","tfg":"task a 100\ntask b 120\nmsg m a -> b 256","placement":[{},{}]}}}}"#,
+                2 * i,
+                2 * i + 1
+            );
+            let (resp, _) = d.handle_frame(req.as_bytes());
+            assert!(resp.starts_with("{\"ok\":true"), "tenant {i}: {resp}");
+        }
+        assert_eq!(d.engine().tenants().count(), count);
+        d.recorder().counters()
+    }
+
+    #[test]
+    fn admissions_beyond_a_tiny_memo_capacity_never_fail_internally() {
+        let cfg = ServeConfig {
+            memo_capacity: 2,
+            ..ServeConfig::default()
+        };
+        let counters = admit_distinct(Torus::new(&[4, 4]).expect("torus"), cfg, 8);
+        assert_eq!(counters.get("serve.errors.internal"), None);
+        assert_eq!(counters["serve.admit.memo_misses"], 8);
+    }
+
+    #[test]
+    fn default_config_admits_past_twice_its_memo_capacity() {
+        let cfg = ServeConfig::default();
+        let count = 2 * cfg.memo_capacity + 1;
+        let counters = admit_distinct(Torus::new(&[16, 18]).expect("torus"), cfg, count);
+        assert_eq!(counters.get("serve.errors.internal"), None);
+        assert_eq!(counters["serve.admit.fast"], count as u64);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`engine`] — [`Engine`]: the tenant table, the occupancy ledger, the
 //!   degradation ladder (fast → adapted → rerouted → best-effort →
 //!   reject), and the determinism memos;
-//! * [`json`] — a total, non-panicking JSON parser for request bytes;
+//! * [`json`] — re-exported from `sr-obs`: the total, non-panicking JSON
+//!   parser for request bytes;
 //! * [`error`] — the typed protocol error taxonomy ([`ErrorKind`]);
 //! * [`protocol`] — request parsing and deterministic response rendering;
 //! * [`daemon`] — [`Daemon`]: length-prefixed framing over stdio or a
@@ -45,7 +46,6 @@ pub mod daemon;
 pub mod engine;
 pub mod error;
 pub mod http;
-pub mod json;
 pub mod protocol;
 
 pub use audit::{
@@ -58,5 +58,6 @@ pub use engine::{
 };
 pub use error::{ErrorKind, ServeError};
 pub use http::OpsState;
-pub use json::{parse, Json, JsonError};
 pub use protocol::{parse_request, Request};
+pub use sr_obs::json;
+pub use sr_obs::json::{parse, Json, JsonError};
