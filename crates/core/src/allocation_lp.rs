@@ -46,14 +46,15 @@ impl AllocationStats {
 /// Warm-start bases for the allocation subset LPs, keyed by subset
 /// position.
 ///
-/// Each maximal related subset solves one LP; along a candidate's
-/// capacity-scale ladder the subset LPs are *structurally identical* — the
-/// assignment, activity, intervals, and subsets are fixed, only the
-/// capacity right-hand sides shrink — so the optimal basis of the previous
-/// scale is a legal warm start for the next one ([`sr_lp::Problem::solve_warm`]).
-/// The cache must be discarded whenever the assignment or subsets change
-/// (i.e. across seeds); reusing it would still be *correct* (a mismatched
-/// basis degrades to a cold solve) but would churn on misses.
+/// Each maximal related subset solves one LP; along a pinned
+/// re-allocation's capacity-scale ladder ([`crate::reallocate_pinned`]) the
+/// subset LPs are *structurally identical* — the assignment, activity,
+/// intervals, and subsets are fixed, only the capacity right-hand sides
+/// shrink — so the optimal basis of the previous scale is a legal warm
+/// start for the next one ([`sr_lp::Problem::solve_warm`]). The cache must
+/// be discarded whenever the assignment or subsets change; reusing it would
+/// still be *correct* (a mismatched basis degrades to a cold solve) but
+/// would churn on misses.
 #[derive(Debug, Clone, Default)]
 pub struct AllocBasisCache {
     bases: Vec<Option<Basis>>,
@@ -158,9 +159,8 @@ pub enum SubsetSolver<'a> {
     /// deposits its new optimal basis back — along a capacity-scale ladder
     /// that skips phase 1 whenever the previous scale's split still fits.
     /// The feasibility verdict is the cold one, but a warm solve may land
-    /// on a different optimal vertex, so callers that promise
-    /// cold-identical rows re-derive them without a cache (see
-    /// `CompileConfig::warm_start`).
+    /// on a different optimal vertex, so the compile walk, which promises
+    /// cold-identical rows, passes no cache.
     Simplex(Option<&'a mut AllocBasisCache>),
     /// One time-expanded min-cost-flow network per subset, solved by
     /// successive shortest paths, falling back to a cold LP where the

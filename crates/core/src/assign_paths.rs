@@ -11,6 +11,9 @@ use sr_topology::{NodeId, Path, Topology};
 use crate::utilization::UtilEval;
 use crate::{ActivityMatrix, Hotspot, Intervals, PathAssignment, UtilizationMap, EPS};
 
+/// Safety cap on improvement/reposition steps per restart.
+const MAX_INNER: usize = 200;
+
 /// Memoized shortest-path enumeration, keyed by `(source, destination)`.
 ///
 /// The alternative paths of a message depend only on its endpoint nodes
@@ -123,8 +126,6 @@ pub struct AssignPathsConfig {
     /// Random restarts after the iterative improvement converges
     /// ("helps the algorithm slide out of any local minima").
     pub max_restarts: usize,
-    /// Safety cap on improvement/reposition steps per restart.
-    pub max_inner: usize,
     /// RNG seed (the heuristic is deterministic for a fixed seed).
     pub seed: u64,
 }
@@ -134,7 +135,6 @@ impl Default for AssignPathsConfig {
         AssignPathsConfig {
             path_cap: 64,
             max_restarts: 6,
-            max_inner: 200,
             seed: 0x5eed,
         }
     }
@@ -612,15 +612,7 @@ fn hill_climb(
 
     let mut current = start;
     loop {
-        improve(
-            &mut current,
-            candidates,
-            topo,
-            bounds,
-            intervals,
-            activity,
-            config.max_inner,
-        );
+        improve(&mut current, candidates, topo, bounds, intervals, activity);
         let peak = compute(&current).effective_peak();
         if peak < best_peak - EPS {
             best = current.clone();
@@ -666,11 +658,10 @@ fn improve(
     bounds: &TimeBounds,
     intervals: &Intervals,
     activity: &ActivityMatrix,
-    max_inner: usize,
 ) {
     let mut eval = UtilEval::new(current, bounds, activity, intervals, topo.num_links());
     let mut seen_positions: Vec<(u64, Option<Hotspot>)> = Vec::new();
-    for _ in 0..max_inner {
+    for _ in 0..MAX_INNER {
         let peak = eval.effective_peak();
         if peak <= EPS {
             return; // nothing on the network

@@ -7,13 +7,21 @@ use sr_tfg::{MessageId, TaskFlowGraph, TimeBounds, Timing, WindowPolicy};
 use sr_topology::{NodeId, Topology};
 
 use crate::diagnosis::{CandidateOutcome, CandidateRecord, Diagnosis};
-use crate::interval_sched::{schedule_intervals_greedy, schedule_intervals_guarded_stats};
 use crate::{
-    allocate_intervals, assign_paths_pooled, build_node_schedules, related_subsets, ActivityMatrix,
-    AllocBasisCache, AllocationStats, AssignPathsConfig, CompileError, IntervalAllocation,
-    IntervalSchedStats, IntervalSchedule, Intervals, NodeSchedule, PathAssignment, PathPool,
-    Segment, SubsetSolver, UtilizationMap,
+    allocate_intervals, assign_paths_pooled, build_node_schedules, related_subsets,
+    schedule_intervals, ActivityMatrix, AllocationStats, AssignPathsConfig, CompileError,
+    IntervalAllocation, IntervalSchedStats, IntervalSchedule, Intervals, NodeSchedule,
+    PathAssignment, PathPool, Segment, SubsetSolver, UtilizationMap,
 };
+
+/// Slack allowed on the `U ≤ 1` schedulability test.
+const UTILIZATION_TOLERANCE: f64 = 1e-6;
+
+/// Additional `AssignPaths` seeds tried when allocation or interval
+/// scheduling fails (a second feedback loop from §7: the path assignment
+/// constrains everything downstream, so a different same-peak assignment
+/// often compiles).
+const PATH_RETRY_SEEDS: usize = 3;
 
 /// Backend for the message–interval allocation stage.
 ///
@@ -24,8 +32,8 @@ use crate::{
 /// [`sr_lp::LpEngine::Dense`] was kept beside the sparse rewrite.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AllocEngine {
-    /// One LP per subset, solved by the sparse revised simplex (with
-    /// warm-started bases along capacity-scale ladders). The default.
+    /// One LP per subset, solved by the sparse revised simplex. The
+    /// default.
     #[default]
     Simplex,
     /// One time-expanded min-cost-flow network per subset, solved by
@@ -41,25 +49,12 @@ pub struct CompileConfig {
     pub window_policy: WindowPolicy,
     /// Path-assignment heuristic knobs.
     pub assign_paths: AssignPathsConfig,
-    /// Cap on link-feasible sets enumerated per interval.
-    pub max_feasible_sets: usize,
-    /// Slack allowed on the `U ≤ 1` schedulability test.
-    pub utilization_tolerance: f64,
     /// Capacity scales tried for message–interval allocation. The first
     /// entry should be 1.0; later (smaller) entries implement the paper's
     /// suggested *feedback*: if interval scheduling fails, re-allocate with
     /// tighter per-interval link capacities, which spreads messages across
     /// more intervals and usually makes the intervals schedulable.
     pub feedback_scales: Vec<f64>,
-    /// Additional `AssignPaths` seeds tried when allocation or interval
-    /// scheduling fails (a second feedback loop from §7: the path
-    /// assignment constrains everything downstream, so a different
-    /// same-peak assignment often compiles).
-    pub path_retry_seeds: usize,
-    /// Use the greedy list scheduler instead of the \[BDW86\] LP for
-    /// interval scheduling (an ablation: faster, occasionally fails where
-    /// the LP succeeds).
-    pub greedy_interval_scheduling: bool,
     /// Clock-skew guard time (µs) reserved before every transmission slice
     /// — the paper's §7 margin for CP synchronization ("twice the maximum
     /// difference between two clocks"). Zero assumes perfectly synchronized
@@ -71,19 +66,6 @@ pub struct CompileConfig {
     /// exact schedule the serial search would: candidates are ranked by
     /// `(seed, scale)` and the lowest-ranked success wins.
     pub parallelism: usize,
-    /// Warm-start the allocation subset LPs along each seed's capacity-scale
-    /// ladder (default `true`).
-    ///
-    /// Scales after the first re-solve structurally identical LPs with
-    /// tighter capacities, so each subset LP is seeded from the previous
-    /// scale's optimal basis ([`crate::AllocBasisCache`]) — for these
-    /// zero-objective feasibility systems a warm hit skips the entire solve.
-    /// Feasibility *verdicts* are unaffected, and any warm-influenced
-    /// candidate that wins the walk is re-derived cold before the schedule
-    /// is emitted, so the accepted candidate and final schedule match a
-    /// `warm_start: false` compile; ladders are evaluated whole per seed,
-    /// so results stay bit-identical at any [`CompileConfig::parallelism`].
-    pub warm_start: bool,
     /// Fraction `ε ∈ [0, 1)` of link capacity held back at compile time as
     /// repair headroom: the schedulability test tightens to `U ≤ 1 − ε`
     /// and every capacity scale is multiplied by `1 − ε` during
@@ -94,8 +76,7 @@ pub struct CompileConfig {
     /// pipeline exactly.
     pub spare_capacity: f64,
     /// Message–interval allocation backend (see [`AllocEngine`]). The flow
-    /// engine sidesteps the subset LPs entirely on large fabrics; warm-start
-    /// bases are a simplex concept and are not used under it.
+    /// engine sidesteps the subset LPs entirely on large fabrics.
     pub alloc_engine: AllocEngine,
     /// Partition the platform into this many contiguous node bands
     /// ([`crate::band_partition`]) and compile hierarchically: `AssignPaths`
@@ -117,14 +98,9 @@ impl Default for CompileConfig {
         CompileConfig {
             window_policy: WindowPolicy::LongestTask,
             assign_paths: AssignPathsConfig::default(),
-            max_feasible_sets: 50_000,
-            utilization_tolerance: 1e-6,
             feedback_scales: vec![1.0, 0.9, 0.8, 0.7],
-            path_retry_seeds: 3,
-            greedy_interval_scheduling: false,
             guard_time: 0.0,
             parallelism: 0,
-            warm_start: true,
             spare_capacity: 0.0,
             alloc_engine: AllocEngine::default(),
             partition: 0,
@@ -512,26 +488,9 @@ struct ScaleStats {
     isched: IntervalSchedStats,
 }
 
-impl ScaleStats {
-    /// Folds another candidate evaluation's work into this one — used when
-    /// a warm-influenced winner is re-derived cold, so the walk reports the
-    /// candidate's *total* work (warm probe plus cold confirmation).
-    fn absorb(&mut self, other: &ScaleStats) {
-        self.alloc.merge(&other.alloc);
-        self.isched.lp.merge(&other.isched.lp);
-        self.isched.lp_solves += other.isched.lp_solves;
-        self.isched.feasible_sets += other.isched.feasible_sets;
-        self.isched.arena_cells += other.isched.arena_cells;
-        self.isched.singleton_fast_paths += other.isched.singleton_fast_paths;
-    }
-}
-
 /// One seed's full evaluation: the path-assignment stage plus however much
-/// of its capacity-scale ladder [`SearchCtx::eval_ladder`] walked. Ladders
-/// are always produced whole-seed (never one scale at a time) because with
-/// [`CompileConfig::warm_start`] each rung's warm basis cache depends on the
-/// rungs before it — evaluating a seed's ladder serially inside one job
-/// keeps every outcome a deterministic function of the seed alone, so the
+/// of its capacity-scale ladder [`SearchCtx::eval_ladder`] walked. Every
+/// rung is a pure function of the seed's artifacts and its scale, so the
 /// search stays bit-identical at any parallelism.
 struct SeedResult {
     seed_out: SeedOutcome,
@@ -617,7 +576,7 @@ impl SearchCtx<'_> {
         let peak = outcome.utilization.effective_peak();
         span.annotate("peak_utilization", peak);
         span.annotate("restarts", outcome.restarts as f64);
-        if peak > 1.0 - self.config.spare_capacity + self.config.utilization_tolerance {
+        if peak > 1.0 - self.config.spare_capacity + UTILIZATION_TOLERANCE {
             // The heuristic is deterministic-per-seed but the peak won't
             // drop below capacity by reseeding alone once it converged;
             // other seeds are still tried, keeping the first report.
@@ -637,18 +596,10 @@ impl SearchCtx<'_> {
     }
 
     /// Allocates message–interval shares at `scale` capacity and schedules
-    /// the intervals. Deterministic per `(seed artifacts, scale, cache
-    /// state)`; the returned [`ScaleStats`] are likewise deterministic and
-    /// left to the walk to report. With a basis `cache` the subset LPs are
-    /// warm-started from (and update) the previous rung's optimal bases;
-    /// `None` is the cold evaluation.
-    fn eval_scale(
-        &self,
-        ev: &SeedEval,
-        sidx: usize,
-        si: usize,
-        cache: Option<&mut AllocBasisCache>,
-    ) -> (ScaleOutcome, ScaleStats) {
+    /// the intervals. Deterministic per `(seed artifacts, scale)`; the
+    /// returned [`ScaleStats`] are likewise deterministic and left to the
+    /// walk to report.
+    fn eval_scale(&self, ev: &SeedEval, sidx: usize, si: usize) -> (ScaleOutcome, ScaleStats) {
         let scale = self.scales[si];
         let mut stats = ScaleStats::default();
         let candidate = span_with(self.rec, "candidate", || {
@@ -673,7 +624,7 @@ impl SearchCtx<'_> {
             &ev.subsets,
             effective,
             None,
-            SubsetSolver::for_engine(self.config.alloc_engine, cache),
+            SubsetSolver::for_engine(self.config.alloc_engine, None),
             workers,
             &mut stats.alloc,
         );
@@ -692,25 +643,14 @@ impl SearchCtx<'_> {
         };
 
         let sched_span = sr_obs::span(self.rec, "phase.schedule_intervals");
-        let scheduled = if self.config.greedy_interval_scheduling {
-            schedule_intervals_greedy(
-                &ev.assignment,
-                &allocation,
-                self.intervals,
-                &ev.subsets,
-                self.config.guard_time,
-            )
-        } else {
-            schedule_intervals_guarded_stats(
-                &ev.assignment,
-                &allocation,
-                self.intervals,
-                &ev.subsets,
-                self.config.max_feasible_sets,
-                self.config.guard_time,
-                &mut stats.isched,
-            )
-        };
+        let scheduled = schedule_intervals(
+            &ev.assignment,
+            &allocation,
+            self.intervals,
+            &ev.subsets,
+            self.config.guard_time,
+            &mut stats.isched,
+        );
         sched_span.annotate("lp_pivots", stats.isched.lp.pivots as f64);
         drop(sched_span);
         let (outcome, code) = match scheduled {
@@ -730,63 +670,43 @@ impl SearchCtx<'_> {
         (outcome, stats)
     }
 
-    /// Walks one viable seed's capacity-scale ladder in rank order,
-    /// threading the warm-basis cache from rung to rung when
-    /// [`CompileConfig::warm_start`] is set. Stops at the first terminal
-    /// rung (scheduled, allocation-infeasible, or hard error) or when the
-    /// `best` watermark proves no remaining rung can win.
-    ///
-    /// A warm-influenced rung that schedules is immediately **re-derived
-    /// cold** and the cold outcome replaces it (with both evaluations'
-    /// stats merged): the warm solve may sit on a different optimal vertex
-    /// of the same polytope, and the compile contract is that the emitted
-    /// schedule equals the `warm_start: false` one. Rung 0 needs no
-    /// confirmation — its cache is empty, so its solves are cold already.
+    /// Extends one viable seed's capacity-scale `ladder` in rank order from
+    /// its first missing rung. Stops at the first terminal rung (scheduled,
+    /// allocation-infeasible, or hard error), after the last scale, or when
+    /// the `best` watermark proves no remaining rung can win.
     fn eval_ladder(
         &self,
         ev: &SeedEval,
         sidx: usize,
         best: &AtomicUsize,
-    ) -> Vec<(ScaleOutcome, ScaleStats)> {
+        ladder: &mut Vec<(ScaleOutcome, ScaleStats)>,
+    ) {
         let num_scales = self.scales.len();
-        // Warm bases only exist under the flat simplex engine; with no
-        // cache the flow and partitioned ladders also skip the cold
-        // re-derivation of winners (their solves are cold by construction).
-        let mut cache = (self.config.warm_start
-            && self.config.alloc_engine == AllocEngine::Simplex
-            && self.config.partition <= 1)
-            .then(AllocBasisCache::new);
-        let mut ladder = Vec::new();
-        for si in 0..num_scales {
+        while ladder.len() < num_scales
+            && ladder
+                .last()
+                .is_none_or(|(out, _)| matches!(out, ScaleOutcome::Unschedulable(_)))
+        {
+            let si = ladder.len();
             if sidx * num_scales + si > best.load(Ordering::Relaxed) {
                 break;
             }
-            let (mut out, mut stats) = self.eval_scale(ev, sidx, si, cache.as_mut());
-            if matches!(out, ScaleOutcome::Scheduled { .. }) && si > 0 && cache.is_some() {
-                let (cold_out, cold_stats) = self.eval_scale(ev, sidx, si, None);
-                stats.absorb(&cold_stats);
-                out = cold_out;
-            }
+            let (out, stats) = self.eval_scale(ev, sidx, si);
             if matches!(out, ScaleOutcome::Scheduled { .. }) {
                 best.fetch_min(sidx * num_scales + si, Ordering::Relaxed);
             }
-            let stop = !matches!(out, ScaleOutcome::Unschedulable(_));
             ladder.push((out, stats));
-            if stop {
-                break;
-            }
         }
-        ladder
     }
 
     /// [`Self::eval_seed`] plus [`Self::eval_ladder`]: everything one seed
     /// contributes to the search, computed as a single deterministic job.
     fn eval_seed_full(&self, sidx: usize, best: &AtomicUsize) -> SeedResult {
         let seed_out = self.eval_seed(sidx);
-        let ladder = match &seed_out {
-            SeedOutcome::Viable(ev) => self.eval_ladder(ev, sidx, best),
-            SeedOutcome::Utilization { .. } => Vec::new(),
-        };
+        let mut ladder = Vec::new();
+        if let SeedOutcome::Viable(ev) = &seed_out {
+            self.eval_ladder(ev, sidx, best, &mut ladder);
+        }
         SeedResult { seed_out, ladder }
     }
 
@@ -797,12 +717,11 @@ impl SearchCtx<'_> {
     /// needs that has no precomputed result is evaluated on the spot. With
     /// `threads > 1` the seeds are speculatively evaluated first by a
     /// worker pool — each job runs one seed's path assignment and then its
-    /// whole capacity-scale ladder (so the ladder's warm-basis chain stays
-    /// inside one job) — with an atomic rank watermark cancelling seeds and
-    /// ladder tails that can no longer win. Either way the walk — and hence
-    /// the returned schedule or error — is identical to a fully serial
-    /// search, because every seed's result is a deterministic function of
-    /// its inputs.
+    /// capacity-scale ladder — with an atomic rank watermark cancelling
+    /// seeds and ladder tails that can no longer win. Either way the walk —
+    /// and hence the returned schedule or error — is identical to a fully
+    /// serial search, because every seed's result is a deterministic
+    /// function of its inputs.
     fn search(&self, threads: usize) -> Result<Schedule, CompileError> {
         let result = self.search_walk(threads);
         // Path-pool traffic is inherently thread-dependent (see
@@ -815,7 +734,7 @@ impl SearchCtx<'_> {
     }
 
     fn search_walk(&self, threads: usize) -> Result<Schedule, CompileError> {
-        let num_seeds = self.config.path_retry_seeds + 1;
+        let num_seeds = PATH_RETRY_SEEDS + 1;
         let num_scales = self.scales.len();
 
         let mut results: Vec<Option<SeedResult>> = (0..num_seeds).map(|_| None).collect();
@@ -881,18 +800,10 @@ impl SearchCtx<'_> {
             // A speculative ladder may have been truncated by the rank
             // watermark. The walk only reaches such a seed when every
             // lower-ranked candidate failed — in which case the watermark
-            // that truncated it has since been proven stale — so re-derive
-            // the whole ladder (the warm-basis chain must restart from rung
-            // 0 to reproduce the serial result exactly).
-            let terminal = seed_result
-                .ladder
-                .last()
-                .is_some_and(|(out, _)| !matches!(out, ScaleOutcome::Unschedulable(_)));
-            let ladder = if terminal || seed_result.ladder.len() == num_scales {
-                seed_result.ladder
-            } else {
-                self.eval_ladder(&ev, sidx, &unbounded)
-            };
+            // that truncated it has since been proven stale — so resume it
+            // at its first missing rung.
+            let mut ladder = seed_result.ladder;
+            self.eval_ladder(&ev, sidx, &unbounded, &mut ladder);
             let mut last_err: Option<CompileError> = None;
             let mut seed_err: Option<CompileError> = None;
             for (si, (out, stats)) in ladder.into_iter().enumerate() {
@@ -1279,21 +1190,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CompileError::AllocationMismatch { .. }));
-    }
-
-    #[test]
-    fn greedy_scheduler_compiles_and_verifies() {
-        let topo = GeneralizedHypercube::binary(4).unwrap();
-        let tfg = generators::diamond(4, 500, 1280);
-        let timing = Timing::new(64.0, 10.0);
-        let alloc = sr_mapping::greedy(&tfg, &topo);
-        let config = CompileConfig {
-            greedy_interval_scheduling: true,
-            ..CompileConfig::default()
-        };
-        let sched = compile(&topo, &tfg, &alloc, &timing, 80.0, &config)
-            .expect("greedy scheduler compiles the diamond");
-        crate::verify(&sched, &topo, &tfg).expect("greedy schedules verify too");
     }
 
     #[test]

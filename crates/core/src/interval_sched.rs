@@ -53,6 +53,9 @@ pub struct IntervalSchedule {
     pub slices: Vec<Slice>,
 }
 
+/// Cap on link-feasible sets enumerated per (interval, related subset).
+const MAX_FEASIBLE_SETS: usize = 50_000;
+
 /// Solves **interval scheduling** (paper §5.3) for every interval: preemptive
 /// scheduling of messages that each require *all* their links simultaneously,
 /// following the \[BDW86\] formulation.
@@ -64,63 +67,29 @@ pub struct IntervalSchedule {
 /// each message receiving exactly its allocated time. If the minimum exceeds
 /// the interval length the interval is unschedulable.
 ///
+/// Every slice is preceded by a **guard time** of `guard` µs: the paper's
+/// §7 clock-skew margin ("a time interval equal to or greater than twice
+/// the maximum difference between two clocks could be allowed to elapse
+/// before starting transmission"), reserved idle time on the slice's links
+/// so every CP along the path has provably switched before data flows.
+/// Guards count toward the interval-length budget, so a positive guard can
+/// make an otherwise schedulable interval fail.
+///
+/// Work counters accumulate into `stats`; on error they reflect the work
+/// done up to the failure.
+///
 /// # Errors
 ///
-/// * [`CompileError::IntervalUnschedulable`] — minimal schedule longer than
-///   the interval;
+/// * [`CompileError::IntervalUnschedulable`] — minimal schedule (guards
+///   included) longer than the interval;
 /// * [`CompileError::TooManyFeasibleSets`] — independent-set enumeration
-///   exceeded `max_sets`;
+///   exceeded 50,000 sets for one interval and subset;
 /// * [`CompileError::Lp`] — solver trouble.
 pub fn schedule_intervals(
     assignment: &PathAssignment,
     allocation: &IntervalAllocation,
     intervals: &Intervals,
     subsets: &[Vec<MessageId>],
-    max_sets: usize,
-) -> Result<Vec<IntervalSchedule>, CompileError> {
-    schedule_intervals_guarded(assignment, allocation, intervals, subsets, max_sets, 0.0)
-}
-
-/// [`schedule_intervals`] with a **guard time** before every slice: the
-/// paper's §7 clock-skew margin ("a time interval equal to or greater than
-/// twice the maximum difference between two clocks could be allowed to
-/// elapse before starting transmission"). Each slice is preceded by
-/// `guard` µs of reserved idle time on its links so every CP along the path
-/// has provably switched before data flows.
-///
-/// # Errors
-///
-/// As [`schedule_intervals`]; guards count toward the interval-length
-/// budget, so a positive guard can make an otherwise schedulable interval
-/// fail.
-pub fn schedule_intervals_guarded(
-    assignment: &PathAssignment,
-    allocation: &IntervalAllocation,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    max_sets: usize,
-    guard: f64,
-) -> Result<Vec<IntervalSchedule>, CompileError> {
-    let mut stats = IntervalSchedStats::default();
-    schedule_intervals_guarded_stats(
-        assignment, allocation, intervals, subsets, max_sets, guard, &mut stats,
-    )
-}
-
-/// [`schedule_intervals_guarded`] that additionally accumulates work
-/// counters into `stats`. On error, `stats` reflects the work done up to
-/// the failure.
-///
-/// # Errors
-///
-/// As [`schedule_intervals_guarded`].
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_intervals_guarded_stats(
-    assignment: &PathAssignment,
-    allocation: &IntervalAllocation,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    max_sets: usize,
     guard: f64,
     stats: &mut IntervalSchedStats,
 ) -> Result<Vec<IntervalSchedule>, CompileError> {
@@ -167,7 +136,6 @@ pub fn schedule_intervals_guarded_stats(
                 &conflicts[*si],
                 &mut scratch,
                 k,
-                max_sets,
                 guard,
                 &mut slices,
                 stats,
@@ -275,7 +243,6 @@ fn schedule_subset_interval(
     conflict: &ConflictMatrix,
     scratch: &mut SubsetScratch,
     k: usize,
-    max_sets: usize,
     guard: f64,
     slices: &mut Vec<Slice>,
     stats: &mut IntervalSchedStats,
@@ -310,11 +277,11 @@ fn schedule_subset_interval(
     if scratch.member_sets.len() < n {
         scratch.member_sets.resize_with(n, Vec::new);
     }
-    let full = enumerate_independent(conflict, scratch, max_sets);
+    let full = enumerate_independent(conflict, scratch, MAX_FEASIBLE_SETS);
     if !full {
         return Err(CompileError::TooManyFeasibleSets {
             interval: k,
-            cap: max_sets,
+            cap: MAX_FEASIBLE_SETS,
         });
     }
 
@@ -367,104 +334,6 @@ fn schedule_subset_interval(
         }
     }
     Ok(())
-}
-
-/// Greedy alternative to the \[BDW86\] LP: repeatedly transmit a maximal
-/// link-compatible set of the messages with remaining allocation, longest
-/// remaining first, until every allocation is exhausted.
-///
-/// Always *correct* (slices realize the allocation, no set shares a link)
-/// but not always *optimal*: the LP can finish an interval the greedy
-/// packing cannot. The compile pipeline uses it when
-/// [`crate::CompileConfig::greedy_interval_scheduling`] is set — an
-/// ablation of the paper's choice of an exact formulation.
-///
-/// # Errors
-///
-/// [`CompileError::IntervalUnschedulable`] when the greedy packing exceeds
-/// an interval's length.
-pub fn schedule_intervals_greedy(
-    assignment: &PathAssignment,
-    allocation: &IntervalAllocation,
-    intervals: &Intervals,
-    subsets: &[Vec<MessageId>],
-    guard: f64,
-) -> Result<Vec<IntervalSchedule>, CompileError> {
-    let mut out = Vec::new();
-    for k in 0..intervals.len() {
-        let mut slices = Vec::new();
-        for subset in subsets {
-            let mut remaining: Vec<(MessageId, f64)> = subset
-                .iter()
-                .copied()
-                .filter_map(|m| {
-                    let a = allocation.allocated(m, k);
-                    (a > EPS).then_some((m, a))
-                })
-                .collect();
-            if remaining.is_empty() {
-                continue;
-            }
-            let (start, _) = intervals.bounds(k);
-            let available = intervals.length(k);
-            let mut cursor = start;
-            while !remaining.is_empty() {
-                // Longest-remaining-first maximal compatible set.
-                remaining.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                let mut set: Vec<usize> = Vec::new();
-                for i in 0..remaining.len() {
-                    let conflicts = set.iter().any(|&j| {
-                        assignment
-                            .links(remaining[i].0)
-                            .iter()
-                            .any(|l| assignment.links(remaining[j].0).contains(l))
-                    });
-                    if !conflicts {
-                        set.push(i);
-                    }
-                }
-                // Run the set until its shortest member exhausts.
-                let quantum = set
-                    .iter()
-                    .map(|&i| remaining[i].1)
-                    .fold(f64::INFINITY, f64::min);
-                cursor += guard;
-                slices.push(Slice {
-                    messages: {
-                        let mut m: Vec<MessageId> = set.iter().map(|&i| remaining[i].0).collect();
-                        m.sort();
-                        m
-                    },
-                    start: cursor,
-                    duration: quantum,
-                });
-                cursor += quantum;
-                if cursor - start > available + EPS {
-                    return Err(CompileError::IntervalUnschedulable {
-                        interval: k,
-                        required: cursor - start,
-                        available,
-                    });
-                }
-                for &i in &set {
-                    remaining[i].1 -= quantum;
-                }
-                remaining.retain(|&(_, r)| r > EPS);
-            }
-        }
-        if !slices.is_empty() {
-            slices.sort_by(|a, b| {
-                a.start
-                    .total_cmp(&b.start)
-                    .then_with(|| a.messages.cmp(&b.messages))
-            });
-            out.push(IntervalSchedule {
-                interval: k,
-                slices,
-            });
-        }
-    }
-    Ok(out)
 }
 
 /// Depth-first enumeration of the independent sets of the active messages,
@@ -529,13 +398,29 @@ mod tests {
 
     /// Builds a PathAssignment over a 4-node ring with hand-picked paths.
     fn ring_assignment(paths: Vec<Vec<usize>>) -> (sr_topology::Torus, PathAssignment) {
-        let topo = sr_topology::Torus::new(&[4]).unwrap();
+        ring_of(4, paths)
+    }
+
+    /// Builds a PathAssignment over an `n`-node ring with hand-picked paths.
+    fn ring_of(n: usize, paths: Vec<Vec<usize>>) -> (sr_topology::Torus, PathAssignment) {
+        let topo = sr_topology::Torus::new(&[n]).unwrap();
         let paths = paths
             .into_iter()
             .map(|ns| Path::new(ns.into_iter().map(NodeId).collect()))
             .collect();
         let pa = PathAssignment::new(paths, &topo);
         (topo, pa)
+    }
+
+    /// [`schedule_intervals`] without guards, discarding the counters.
+    fn schedule(
+        pa: &PathAssignment,
+        alloc: &IntervalAllocation,
+        intervals: &Intervals,
+        subsets: &[Vec<MessageId>],
+    ) -> Result<Vec<IntervalSchedule>, CompileError> {
+        let mut stats = IntervalSchedStats::default();
+        schedule_intervals(pa, alloc, intervals, subsets, 0.0, &mut stats)
     }
 
     fn uniform_alloc(n: usize, k_count: usize, k: usize, amount: f64) -> IntervalAllocation {
@@ -558,7 +443,7 @@ mod tests {
         let intervals = one_interval(10.0);
         let alloc = uniform_alloc(2, 1, 0, 4.0);
         let subsets = vec![vec![MessageId(0), MessageId(1)]];
-        let scheds = schedule_intervals(&pa, &alloc, &intervals, &subsets, 10_000).unwrap();
+        let scheds = schedule(&pa, &alloc, &intervals, &subsets).unwrap();
         assert_eq!(scheds.len(), 1);
         let slices = &scheds[0].slices;
         // Total time 8 (serialized), no slice containing both.
@@ -578,7 +463,7 @@ mod tests {
         let intervals = one_interval(10.0);
         let alloc = uniform_alloc(2, 1, 0, 6.0);
         let subsets = vec![vec![MessageId(0), MessageId(1)]];
-        let scheds = schedule_intervals(&pa, &alloc, &intervals, &subsets, 10_000).unwrap();
+        let scheds = schedule(&pa, &alloc, &intervals, &subsets).unwrap();
         let slices = &scheds[0].slices;
         // 6+6 fits in 10 only by transmitting together: minimal length 6.
         let makespan = slices.iter().map(Slice::end).fold(0.0f64, f64::max);
@@ -596,7 +481,7 @@ mod tests {
         let intervals = one_interval(10.0);
         let alloc = uniform_alloc(2, 1, 0, 6.0); // 12 serialized > 10
         let subsets = vec![vec![MessageId(0), MessageId(1)]];
-        let err = schedule_intervals(&pa2, &alloc, &intervals, &subsets, 10_000).unwrap_err();
+        let err = schedule(&pa2, &alloc, &intervals, &subsets).unwrap_err();
         match err {
             CompileError::IntervalUnschedulable {
                 required,
@@ -618,7 +503,7 @@ mod tests {
         let intervals = one_interval(10.0);
         let alloc = uniform_alloc(3, 1, 0, 4.0);
         let subsets = vec![vec![MessageId(0), MessageId(1), MessageId(2)]];
-        let scheds = schedule_intervals(&pa, &alloc, &intervals, &subsets, 10_000).unwrap();
+        let scheds = schedule(&pa, &alloc, &intervals, &subsets).unwrap();
         let slices = &scheds[0].slices;
         // Optimal: {m0,m1} together 4, then m2 alone 4 -> makespan 8.
         let makespan = slices.iter().map(Slice::end).fold(0.0f64, f64::max);
@@ -632,65 +517,26 @@ mod tests {
     }
 
     #[test]
-    fn greedy_realizes_allocation_and_never_beats_lp() {
-        // m0 {L01}, m1 {L12}, m2 {L01, L12}: LP optimum interleaves.
-        let (_topo, pa) = ring_assignment(vec![vec![0, 1], vec![1, 2], vec![0, 1, 2]]);
-        let intervals = one_interval(10.0);
-        let alloc = uniform_alloc(3, 1, 0, 3.0);
-        let subsets = vec![vec![MessageId(0), MessageId(1), MessageId(2)]];
-        let lp = schedule_intervals(&pa, &alloc, &intervals, &subsets, 10_000).unwrap();
-        let greedy = schedule_intervals_greedy(&pa, &alloc, &intervals, &subsets, 0.0).unwrap();
-        let makespan = |s: &[IntervalSchedule]| {
-            s.iter()
-                .flat_map(|is| is.slices.iter())
-                .map(Slice::end)
-                .fold(0.0f64, f64::max)
-        };
-        assert!(makespan(&greedy) >= makespan(&lp) - 1e-9);
-        // Both realize exactly 3.0 per message.
-        for sched in [&lp, &greedy] {
-            let mut sums = [0.0f64; 3];
-            for is in sched.iter() {
-                for sl in &is.slices {
-                    for m in &sl.messages {
-                        sums[m.index()] += sl.duration;
-                    }
-                }
-            }
-            for s in sums {
-                assert!((s - 3.0).abs() < 1e-6, "{sums:?}");
-            }
-        }
-        // Greedy slices never co-schedule conflicting messages.
-        for is in &greedy {
-            for sl in &is.slices {
-                for (a, &ma) in sl.messages.iter().enumerate() {
-                    for &mb in sl.messages.iter().skip(a + 1) {
-                        assert!(pa.links(ma).iter().all(|l| !pa.links(mb).contains(l)));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_detects_overflow() {
-        let (_topo, pa) = ring_assignment(vec![vec![0, 1], vec![0, 1]]);
-        let intervals = one_interval(10.0);
-        let alloc = uniform_alloc(2, 1, 0, 6.0); // 12 serialized > 10
-        let subsets = vec![vec![MessageId(0), MessageId(1)]];
-        let err = schedule_intervals_greedy(&pa, &alloc, &intervals, &subsets, 0.0).unwrap_err();
-        assert!(matches!(err, CompileError::IntervalUnschedulable { .. }));
-    }
-
-    #[test]
     fn set_cap_triggers_error() {
-        let (_topo, pa) = ring_assignment(vec![vec![0, 1], vec![2, 3], vec![1, 2]]);
-        let intervals = one_interval(10.0);
-        let alloc = uniform_alloc(3, 1, 0, 1.0);
-        let subsets = vec![vec![MessageId(0), MessageId(1), MessageId(2)]];
-        let err = schedule_intervals(&pa, &alloc, &intervals, &subsets, 3).unwrap_err();
-        assert!(matches!(err, CompileError::TooManyFeasibleSets { .. }));
+        // 17 pairwise link-disjoint one-hop messages on a 34-node ring: every
+        // non-empty subset is link-feasible, 2^17 - 1 = 131,071 sets, which
+        // overflows the 50,000 cap.
+        let n = 17;
+        let (_topo, pa) = ring_of(2 * n, (0..n).map(|i| vec![2 * i, 2 * i + 1]).collect());
+        let intervals = one_interval(100.0);
+        let alloc = uniform_alloc(n, 1, 0, 1.0);
+        let subsets = vec![(0..n).map(MessageId).collect()];
+        let err = schedule(&pa, &alloc, &intervals, &subsets).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CompileError::TooManyFeasibleSets {
+                    interval: 0,
+                    cap: MAX_FEASIBLE_SETS
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -702,10 +548,8 @@ mod tests {
         let alloc = uniform_alloc(3, 1, 0, 2.0);
         let subsets = vec![vec![MessageId(0), MessageId(1)], vec![MessageId(2)]];
         let mut stats = IntervalSchedStats::default();
-        let scheds = schedule_intervals_guarded_stats(
-            &pa, &alloc, &intervals, &subsets, 10_000, 0.0, &mut stats,
-        )
-        .unwrap();
+        let scheds =
+            schedule_intervals(&pa, &alloc, &intervals, &subsets, 0.0, &mut stats).unwrap();
         assert_eq!(scheds.len(), 1);
         assert_eq!(stats.singleton_fast_paths, 1);
         assert_eq!(stats.lp_solves, 1);
@@ -721,7 +565,7 @@ mod tests {
         let intervals = one_interval(10.0);
         let alloc = uniform_alloc(1, 1, 0, 0.0);
         let subsets = vec![vec![MessageId(0)]];
-        let scheds = schedule_intervals(&pa, &alloc, &intervals, &subsets, 100).unwrap();
+        let scheds = schedule(&pa, &alloc, &intervals, &subsets).unwrap();
         assert!(scheds.is_empty());
     }
 }

@@ -105,14 +105,11 @@ pub use diagnosis::{
 };
 pub use error::{CompileError, VerifyError};
 pub use execute::{execute, ExecuteError, ExecutedInvocation, Execution};
-pub use interval_sched::{
-    schedule_intervals, schedule_intervals_greedy, schedule_intervals_guarded,
-    schedule_intervals_guarded_stats, IntervalSchedStats, IntervalSchedule, Slice,
-};
+pub use interval_sched::{schedule_intervals, IntervalSchedStats, IntervalSchedule, Slice};
 pub use intervals::{ActivityMatrix, Intervals};
 pub use optimize::{co_design, find_min_period, CoDesignResult, MinPeriodResult};
 pub use repack::{
-    free_within, intersect, pack_affected, reallocate_pinned, ReallocAttempt,
+    coalesce, free_within, intersect, pack_affected, reallocate_pinned, ReallocAttempt,
     ReallocAttemptOutcome, Repacked,
 };
 pub use replay::replay_events;

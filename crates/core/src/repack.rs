@@ -371,6 +371,18 @@ pub fn free_within(busy: &mut [(f64, f64)], a: f64, b: f64, guard: f64) -> Vec<(
     out
 }
 
+/// Merges overlapping or abutting spans, sorted by start, in place.
+pub fn coalesce(spans: &mut Vec<(f64, f64)>) {
+    let mut merged: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
+    for &(s, e) in spans.iter() {
+        match merged.last_mut() {
+            Some(last) if s <= last.1 + EPS => last.1 = last.1.max(e),
+            _ => merged.push((s, e)),
+        }
+    }
+    *spans = merged;
+}
+
 /// Intersects two ascending disjoint span lists.
 pub fn intersect(a: &[(f64, f64)], b: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let mut out = Vec::new();
@@ -412,5 +424,6 @@ mod tests {
         let a = [(0.0, 10.0), (20.0, 30.0)];
         let b = [(5.0, 25.0)];
         assert_eq!(intersect(&a, &b), vec![(5.0, 10.0), (20.0, 25.0)]);
+        assert!(intersect(&a, &[]).is_empty());
     }
 }

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use sr_core::{
     allocate_intervals, assign_paths, compile, related_subsets, schedule_intervals, ActivityMatrix,
     AllocBasisCache, AllocEngine, AllocationStats, AssignPathsConfig, CompileConfig, CompileError,
-    FlowKernel, IntervalAllocation, Intervals, PathAssignment, PinnedRows, SubsetSolver,
-    UtilizationMap, EPS,
+    FlowKernel, IntervalAllocation, IntervalSchedStats, Intervals, PathAssignment, PinnedRows,
+    SubsetSolver, UtilizationMap, EPS,
 };
 use sr_mapping::Allocation;
 use sr_tfg::generators::{layered_random, LayeredParams};
@@ -250,7 +250,8 @@ proptest! {
             }
         }
 
-        let Ok(scheds) = schedule_intervals(&pa, &allocation, &intervals, &subsets, 50_000)
+        let mut isched = IntervalSchedStats::default();
+        let Ok(scheds) = schedule_intervals(&pa, &allocation, &intervals, &subsets, 0.0, &mut isched)
         else { return Ok(()); };
         // Slices realize the allocation exactly.
         let mut realized = vec![vec![0.0; intervals.len()]; s.tfg.num_messages()];

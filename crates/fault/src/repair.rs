@@ -9,6 +9,9 @@ use sr_obs::{span_with, Recorder, NOOP};
 use sr_tfg::{MessageId, TaskFlowGraph, Timing};
 use sr_topology::{FaultSet, MaskedTopology, Path, Topology};
 
+/// Shortest-path cap for best-effort admission of demoted messages.
+const BEST_EFFORT_PATH_CAP: usize = 16;
+
 /// Tuning knobs for incremental schedule repair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairConfig {
@@ -25,8 +28,6 @@ pub struct RepairConfig {
     /// may be demoted to best-effort when full repair fails. `None` (the
     /// default) treats every message as critical.
     pub critical: Option<Vec<bool>>,
-    /// Shortest-path cap for best-effort admission of demoted messages.
-    pub best_effort_path_cap: usize,
     /// Backend for the pinned re-allocation rows, analogous to
     /// [`sr_core::CompileConfig::alloc_engine`]: the simplex LP (default,
     /// bit-identical to the historical repair), or the min-cost-flow
@@ -40,7 +41,6 @@ impl Default for RepairConfig {
             assign_paths: AssignPathsConfig::default(),
             feedback_scales: vec![1.0, 0.9, 0.8],
             critical: None,
-            best_effort_path_cap: 16,
             alloc_engine: AllocEngine::Simplex,
         }
     }
@@ -419,7 +419,7 @@ fn repair_inner(
                         p.source(),
                         p.destination(),
                         tfg.message(m).bytes(),
-                        config.best_effort_path_cap,
+                        BEST_EFFORT_PATH_CAP,
                     );
                     (m, grant)
                 })

@@ -1,15 +1,15 @@
 //! A minimal, non-panicking JSON value parser — the workspace's one reader
 //! of nested JSON documents.
 //!
-//! The workspace hand-rolls all of its JSON (no serde). `sr-obs` emits
-//! flat trace/journal objects and parses them back with a scalar-only
-//! reader; everything else reads through this module: the serve protocol
-//! (documents arriving from an untrusted byte stream) and the `sr-bench`
-//! metrics gate (checked-in baselines that may be truncated). It handles
-//! the full value grammar (objects, arrays, strings with escapes, numbers,
-//! booleans, null) and returns `Err` — never panics — on malformed input,
-//! with a byte offset for the error message. Depth is capped so deeply
-//! nested garbage cannot blow the stack.
+//! The workspace hand-rolls all of its JSON (no serde), and every reader
+//! goes through this module: the serve protocol (documents arriving from an
+//! untrusted byte stream), the `sr-obs` journal reader (files that may be
+//! torn mid-line) and the `sr-bench` metrics gate (checked-in baselines
+//! that may be truncated). It handles the full value grammar (objects,
+//! arrays, strings with escapes, numbers, booleans, null) and returns
+//! `Err` — never panics — on malformed input, with a byte offset for the
+//! error message. Depth is capped so deeply nested garbage cannot blow the
+//! stack.
 
 use std::collections::BTreeMap;
 
@@ -109,6 +109,7 @@ pub fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
         offset: e.valid_up_to(),
     })?;
     let mut p = Parser {
+        text,
         s: text.as_bytes(),
         i: 0,
     };
@@ -122,6 +123,8 @@ pub fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The validated input; `s` is its bytes.
+    text: &'a str,
     s: &'a [u8],
     i: usize,
 }
@@ -285,12 +288,18 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 is already validated; copy the char.
-                    let rest = &self.s[self.i..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = text.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run of plain characters in one slice. It ends
+                    // at a quote, a backslash, a control byte or the end of
+                    // input — all ASCII — so it ends on a char boundary of
+                    // the already validated text.
+                    let start = self.i;
+                    while self
+                        .peek()
+                        .is_some_and(|c| c != b'"' && c != b'\\' && c >= 0x20)
+                    {
+                        self.i += 1;
+                    }
+                    out.push_str(&self.text[start..self.i]);
                 }
             }
         }
@@ -379,6 +388,23 @@ mod tests {
         doc.extend(std::iter::repeat_n(b'[', 64));
         doc.extend(std::iter::repeat_n(b']', 64));
         assert!(parse(&doc).is_err());
+    }
+
+    #[test]
+    fn parses_a_one_mebibyte_string_in_linear_time() {
+        // Multi-byte characters and escapes interleaved with plain runs.
+        let unit = "abcdefgh\u{e9}\u{1f600}";
+        let mut doc = String::from("\"");
+        let mut want = String::new();
+        while doc.len() < 1 << 20 {
+            doc.push_str(unit);
+            doc.push_str("\\n");
+            want.push_str(unit);
+            want.push('\n');
+        }
+        doc.push('"');
+        let v = parse(doc.as_bytes()).expect("parses");
+        assert_eq!(v.as_str(), Some(want.as_str()));
     }
 
     #[test]

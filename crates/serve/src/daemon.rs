@@ -537,6 +537,24 @@ mod tests {
     }
 
     #[test]
+    fn mebibyte_admit_frame_gets_a_typed_error() {
+        // A frame just under the cap whose `tfg` string is ~1 MiB: the JSON
+        // decode must stay linear, and the bogus TFG text is rejected as an
+        // invalid spec.
+        let mut d = daemon();
+        let tfg = "x".repeat(MAX_FRAME - 128);
+        let req = format!(
+            r#"{{"op":"admit","tenant":{{"name":"big","tfg":"{tfg}","placement":"greedy"}}}}"#
+        );
+        assert!(req.len() <= MAX_FRAME);
+        let (resp, shutdown) = d.handle_frame(req.as_bytes());
+        assert!(!shutdown);
+        let head = &resp[..resp.len().min(200)];
+        assert!(resp.starts_with("{\"ok\":false"), "got: {head}");
+        assert!(resp.contains("\"kind\":\"invalid_spec\""), "got: {head}");
+    }
+
+    #[test]
     fn full_session_over_an_in_memory_stream() {
         let mut d = daemon();
         let mut input = Vec::new();

@@ -48,7 +48,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use sr_core::{
-    assign_paths_partial, compile_diagnosed, free_within, intersect, reallocate_pinned,
+    assign_paths_partial, coalesce, compile_diagnosed, free_within, intersect, reallocate_pinned,
     AllocBasisCache, CompileConfig, Schedule, EPS,
 };
 use sr_mapping::Allocation;
@@ -58,6 +58,10 @@ use sr_topology::{FaultSet, LinkId, MaskedTopology, NodeId, Topology};
 
 /// Per-link busy spans in absolute frame time, sorted and coalesced.
 type Spans = BTreeMap<LinkId, Vec<(f64, f64)>>;
+
+/// A link is masked in the re-route rung when its ledger occupancy reaches
+/// this fraction of the period.
+const REROUTE_BUSY_THRESHOLD: f64 = 0.5;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -73,20 +77,12 @@ pub struct ServeConfig {
     /// Capacity scales for the adapt/re-route allocation ladder (rungs 2
     /// and 3). Empty means `[1.0]`.
     pub feedback_scales: Vec<f64>,
-    /// A link is masked in the re-route rung when its ledger occupancy
-    /// exceeds this fraction of the period.
-    pub reroute_busy_threshold: f64,
     /// Per-tenant memo capacity (standalone compiles + simplex bases kept
     /// across evictions). Least-recently-used entries are dropped.
     pub memo_capacity: usize,
     /// Worker threads for batch-admission standalone compiles (`0` = one
     /// per hardware thread, `1` = serial).
     pub batch_threads: usize,
-    /// Verify ledger invariants after every mutation (cross-tenant overlap
-    /// freedom + span/schedule consistency). Cheap at daemon scale; admits
-    /// that would violate pinning are rolled back and reported as internal
-    /// errors instead of corrupting the ledger.
-    pub paranoid: bool,
 }
 
 impl Default for ServeConfig {
@@ -96,10 +92,8 @@ impl Default for ServeConfig {
             timing: Timing::new(64.0, 10.0),
             compile: CompileConfig::default(),
             feedback_scales: vec![1.0, 0.9, 0.8],
-            reroute_busy_threshold: 0.5,
             memo_capacity: 64,
             batch_threads: 1,
-            paranoid: true,
         }
     }
 }
@@ -671,13 +665,11 @@ impl Engine {
             return Err(format!("no tenant named \"{name}\""));
         }
         rec.add("serve.evict", 1);
-        if self.cfg.paranoid {
-            if let Err(e) = self.check_invariants() {
-                // Unreachable unless a Tenant was mutated externally;
-                // surface loudly but do not panic (protocol contract).
-                rec.add("serve.invariant_violations", 1);
-                return Err(format!("post-eviction invariant violation: {e}"));
-            }
+        if let Err(e) = self.check_invariants() {
+            // Unreachable unless a Tenant was mutated externally; surface
+            // loudly but do not panic (protocol contract).
+            rec.add("serve.invariant_violations", 1);
+            return Err(format!("post-eviction invariant violation: {e}"));
         }
         if let Some(t0) = t0 {
             rec.observe("serve.evict_latency", t0.elapsed().as_secs_f64() * 1e6);
@@ -874,15 +866,15 @@ impl Engine {
         let stored = tenant.clone();
         self.tenants.insert(name.clone(), tenant);
         self.admit_seq += 1;
-        if self.cfg.paranoid {
-            if let Err(e) = self.check_invariants() {
-                self.tenants.remove(&name);
-                self.admit_seq -= 1;
-                rec.add("serve.invariant_violations", 1);
-                return Err(AdmitError::Internal(format!(
-                    "admission of \"{name}\" violated the pinning contract and was rolled back: {e}"
-                )));
-            }
+        // Admits that would violate pinning are rolled back and reported as
+        // internal errors instead of corrupting the ledger.
+        if let Err(e) = self.check_invariants() {
+            self.tenants.remove(&name);
+            self.admit_seq -= 1;
+            rec.add("serve.invariant_violations", 1);
+            return Err(AdmitError::Internal(format!(
+                "admission of \"{name}\" violated the pinning contract and was rolled back: {e}"
+            )));
         }
         if let Some(entry) = self.memo.get_mut(&name) {
             entry.last = Some(LastResult {
@@ -911,7 +903,7 @@ impl Engine {
         let mut masked_any = false;
         for (&l, spans) in ledger {
             let busy: f64 = spans.iter().map(|&(s, e)| e - s).sum();
-            if busy / period >= self.cfg.reroute_busy_threshold {
+            if busy / period >= REROUTE_BUSY_THRESHOLD {
                 faults = faults.fail_link(l);
                 masked_any = true;
             }
@@ -1072,18 +1064,6 @@ fn linked_messages(sched: &Schedule) -> Vec<MessageId> {
         .map(MessageId)
         .filter(|&m| !sched.assignment().links(m).is_empty())
         .collect()
-}
-
-/// Merges overlapping or abutting sorted spans in place.
-fn coalesce(spans: &mut Vec<(f64, f64)>) {
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
-    for &(s, e) in spans.iter() {
-        match out.last_mut() {
-            Some(last) if s <= last.1 + EPS => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    *spans = out;
 }
 
 /// The typed error for an admission whose memo entry vanished mid-ladder
